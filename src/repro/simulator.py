@@ -46,6 +46,7 @@ from repro.htm.ops import Barrier, OpenTx, Read, Tx, Work, Write
 from repro.htm.policy import (
     CommitArbitration,
     ConflictResolution,
+    StallResolution,
     make_arbitration,
     make_resolution,
 )
@@ -109,13 +110,16 @@ class _Core:
         self.waiters: set[int] = set()
         self.stall_start = 0
         self.retry_event: Event | None = None
+        #: conflict-visibility epoch before the scan that last found
+        #: this core a conflict (see Simulator._stall_poll)
+        self.scan_epoch = -1
         self.comp: dict[str, int] = {}
         self.finish_time = 0
         #: prebound callbacks (installed by Simulator.run); avoid
         #: allocating a fresh closure for every resume/retry event
         self.step_cb: Callable[[], None] | None = None
         self.retry_cb: Callable[[], None] | None = None
-        self.stall_retry_cb: Callable[[], None] | None = None
+        self.stall_poll_cb: Callable[[], None] | None = None
 
     # -- delegation to the mounted thread ------------------------------
     @property
@@ -351,6 +355,17 @@ class Simulator:
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults = faults
+        #: bumped whenever a mounted, visible signature may gain bits or
+        #: the set of mounted, visible frames changes (DESIGN §11)
+        self._epoch = 0
+        #: stall polls may re-stall in place: only the Stall policy, and
+        #: only when no fault injector draws from its RNG on the poll and
+        #: no event trace expects the TX_UNSTALL/TX_STALL pair
+        self._poll_in_place = (
+            type(self._resolution) is StallResolution
+            and faults is None
+            and self.trace.events is None
+        )
         if oracle is True:
             oracle = OracleRecorder()
         self.oracle: OracleRecorder | None = oracle or None
@@ -389,7 +404,7 @@ class Simulator:
         for c in self.cores:
             c.step_cb = (lambda core=c: self._step(core))
             c.retry_cb = (lambda core=c: self._retry_pending(core))
-            c.stall_retry_cb = (lambda core=c: self._stall_retry(core))
+            c.stall_poll_cb = (lambda core=c: self._stall_poll(core))
         self._ctxs = []
         for tid, factory in enumerate(threads):
             ctx = _ThreadCtx(tid=tid)
@@ -507,6 +522,7 @@ class Simulator:
         ctx.last_core = core.idx
         core.ctx = None
         core.status = IDLE
+        self._epoch += 1
         if reason != "barrier":
             if to_front:
                 self._ready.appendleft(ctx)
@@ -535,6 +551,7 @@ class Simulator:
     def _mount(self, core: _Core, ctx: _ThreadCtx) -> None:
         switching = ctx.last_core != core.idx or ctx.park_reason is not None
         core.ctx = ctx
+        self._epoch += 1
         ctx.last_core = core.idx
         ctx.slice_start = self.queue.now
         core.status = RUNNING
@@ -678,6 +695,7 @@ class Simulator:
             frame.open_nested = True
             frame.compensate = op.compensate
         core.frames.append(frame)
+        self._epoch += 1
         core.gen_stack.append(op.body())
         self.tx_attempts += 1 if depth == 0 else 0
         if depth == 0 and self.trace.events is not None:
@@ -699,6 +717,7 @@ class Simulator:
             core.finish_time = self.queue.now
             core.ctx = None
             core.status = IDLE
+            self._epoch += 1
             self._check_barriers()
             self._dispatch_next(core)
             if core.ctx is None and all(c.done for c in self._ctxs):
@@ -719,7 +738,7 @@ class Simulator:
                 arb_holder = arb.blocking(core.idx)
                 if arb_holder is not None:
                     # no free commit slot: arbitration stall
-                    self._stall(core, arb_holder, ("commit", tx_value))
+                    self._stall_on(core, arb_holder, ("commit", tx_value))
                     return
                 arb.acquire(core.idx)
                 if not self.scheme.validate(core.idx, frame):
@@ -741,6 +760,7 @@ class Simulator:
                     return
                 self._doom_lazy_losers(core, frame)
                 frame.vm["publishing"] = True
+                self._epoch += 1
             elif not self.scheme.validate(core.idx, frame):
                 core.doomed_depth = 0
                 self._begin_abort(core)
@@ -812,6 +832,7 @@ class Simulator:
         else:
             parent = core.frames[-1]
             parent.merge_child(frame)
+            self._epoch += 1
             self.scheme.merge_nested(parent, frame)
         core.status = RUNNING
         core.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
@@ -871,6 +892,7 @@ class Simulator:
         del core.gen_stack[depth + 2:]
         core.gen_stack.pop()  # the aborted level's own generator
         retry_frame.reset_for_retry(self.queue.now)
+        self._epoch += 1
         core.consecutive_aborts += 1
         if self.oracle is not None:
             self.oracle.note_abort(core.idx, depth)
@@ -884,6 +906,7 @@ class Simulator:
 
     def _retry_tx(self, core: _Core, depth: int) -> None:
         frame = core.frames[depth]
+        self._epoch += 1  # the retry may re-select a visible mode
         if depth == 0:
             # re-select the execution mode (DynTM may flip eager↔lazy);
             # the timestamp is kept so older transactions keep priority
@@ -939,8 +962,10 @@ class Simulator:
         # are wait-free — neither joins the conflict scan
         if (not frames or frames[-1].mode == "eager"
                 or frames[-1].vm.get("publishing")):
+            epoch = self._epoch
             conflict = self._find_conflict(core, line, is_write)
             if conflict is not None:
+                core.scan_epoch = epoch
                 kind = conflict[0]
                 if kind == "suspended":
                     # the holder is a suspended transaction (its summary
@@ -964,7 +989,7 @@ class Simulator:
                         self._resume_retry(core, self.config.htm.stall_retry_period)
                     return
                 if core.in_tx:
-                    self._resolve_conflict(core, conflict[1], op)
+                    self._resolution.resolve(self, core, conflict[1], op)
                 else:
                     # strong isolation: the non-transactional access waits
                     # out the conflicting transaction (it cannot deadlock)
@@ -982,12 +1007,12 @@ class Simulator:
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
+            self._epoch += 1
             if is_write:
                 frame.record_write(line)
                 extra, phys = scheme.pre_write(core.idx, frame, line)
-                # _speculative_for/_local_writes_for inlined (hot path):
-                # the per-frame hook is prebound, the constant fallback
-                # precomputed
+                # the per-frame speculative/local-write hooks are
+                # prebound, the constant fallbacks precomputed (hot path)
                 per = self._spec_for_frame
                 spec = per(frame) if per is not None else self._spec_const
                 if frame.vm.pop("allocate_write", False):
@@ -1093,25 +1118,6 @@ class Simulator:
         # conflict with a publishing committer must stall
         return frame.mode != "lazy" or bool(frame.vm.get("publishing"))
 
-    def _speculative_for(self, frame: TxFrame) -> bool:
-        per_frame = self._spec_for_frame
-        if per_frame is not None:
-            return per_frame(frame)
-        return self._spec_const
-
-    def _local_writes_for(self, frame: TxFrame) -> bool:
-        per_frame = self._local_for_frame
-        if per_frame is not None:
-            return per_frame(frame)
-        return self._local_const
-
-    def _frames_conflict(
-        self, frames: list[TxFrame], line: int, is_write: bool
-    ) -> TxFrame | None:
-        return self._frames_conflict_mask(
-            frames, self._mask_of(line), is_write
-        )
-
     def _frames_conflict_mask(
         self, frames: list[TxFrame], mask: int, is_write: bool
     ) -> TxFrame | None:
@@ -1208,9 +1214,6 @@ class Simulator:
                     return ("suspended", ctx)
         return None
 
-    def _resolve_conflict(self, core: _Core, holder_idx: int, op: Any) -> None:
-        self._resolution.resolve(self, core, holder_idx, op)
-
     def _wait_cycle(self, requester: int, holder: int) -> list[int] | None:
         """Cores on the wait-path if requester→holder closes a cycle."""
         path = [requester]
@@ -1255,9 +1258,6 @@ class Simulator:
         # RUNNING / BACKOFF victims notice the doom at their next event
 
     # -- stalling ---------------------------------------------------------
-    def _stall(self, core: _Core, holder_idx: int, op: Any) -> None:
-        self._stall_on(core, holder_idx, op)
-
     def _stall_on(
         self, core: _Core, holder_idx: int, op: Any,
         period: int | None = None,
@@ -1290,7 +1290,7 @@ class Simulator:
             period = self.faults.perturb_stall_retry(core.idx, period)
         # NOT schedule_fast: the retry event must stay cancellable (the
         # stall path cancels it when the blocker clears early)
-        core.retry_event = self.queue.schedule(period, core.stall_retry_cb)
+        core.retry_event = self.queue.schedule(period, core.stall_poll_cb)
 
     def _unstall(self, core: _Core) -> None:
         core.charge("Stalled", self.queue.now - core.stall_start)
@@ -1308,9 +1308,44 @@ class Simulator:
             core.waiting_on = None
         core.status = RUNNING
 
-    def _stall_retry(self, core: _Core) -> None:
+    def _stall_poll(self, core: _Core) -> None:
+        """A stalled core's periodic retry (the Stall policy's poll).
+
+        Most polls find the same holder and stall again.  That case is
+        re-stalled in place — ``Stalled`` charged, the stall restarted,
+        the next poll scheduled — with exactly the events, charges and
+        order the full unstall/retry/rescan/resolve/stall path produces.
+        While the visibility epoch is unchanged no lower-indexed core
+        can have started conflicting and the holder still conflicts
+        (it loses bits only by committing or aborting, and both wake
+        its waiters), so even the scan is skipped.  Everything else —
+        a new holder, a wait-for cycle, a commit, a doom, another
+        resolution policy — takes the full path.
+        """
         if core.status != STALLED:
             return
+        ctx = core.ctx
+        op = ctx.pending_op
+        holder = core.waiting_on
+        if (self._poll_in_place and ctx.doomed_depth is None
+                and type(op) in (Read, Write)):
+            if core.scan_epoch != self._epoch:
+                core.scan_epoch = self._epoch
+                same = self._find_conflict(
+                    core, op.addr >> LINE_SHIFT, type(op) is Write
+                ) == ("core", holder)
+            else:
+                same = True
+            if same and not (
+                ctx.frames and self._wait_cycle(core.idx, holder)
+            ):
+                now = self.queue.now
+                core.charge("Stalled", now - core.stall_start)
+                core.stall_start = now
+                core.retry_event = self.queue.schedule(
+                    self._stall_period, core.stall_poll_cb
+                )
+                return
         self._unstall(core)
         self._retry_pending(core)
 

@@ -6,6 +6,9 @@ refactor.  Every canonical name must keep producing bit-identical
 per-seed results: the refactor recomposed the simulator's conflict
 resolution and commit arbitration out of policy objects, and these pins
 prove the recomposition is an identity for the pre-existing schemes.
+The contended ``yada``/8-core and ``genome``/16-core pins were captured
+later, before the stall-poll shortcut (DESIGN §11), and pin that the
+shortcut leaves every result unchanged.
 
 If a deliberate behavioural change ever invalidates them, regenerate
 with the recipe in this file's ``_digest`` (and say so in the commit).
@@ -23,8 +26,15 @@ from repro.runner import ExperimentSpec, execute_spec
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_schemes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-#: (workload, scale, seed, cores) pins; small enough to run in tier 1
-PINS = [("ssca2", "tiny", 3, 4), ("synthetic", "tiny", 7, 4)]
+#: (workload, scale, seed, cores) pins; small enough to run in tier 1.
+#: The 4-core pins barely stall; the yada/8 and genome/16 pins drive tens
+#: of thousands of stall polls through the conflict-retry path.
+PINS = [
+    ("ssca2", "tiny", 3, 4),
+    ("synthetic", "tiny", 7, 4),
+    ("yada", "tiny", 3, 8),
+    ("genome", "tiny", 3, 16),
+]
 
 
 def _digest(spec: ExperimentSpec) -> str:

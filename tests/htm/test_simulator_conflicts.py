@@ -229,6 +229,58 @@ def test_stall_policy_conflicting_reader_waits_for_writer():
     assert res.per_core[1].get("Stalled", 0) > 0
 
 
+def test_stall_poll_switches_to_a_new_lower_holder():
+    """A stalled writer re-stalls behind a lower-indexed core that began
+    reading the line while it waited, exactly as a full rescan would.
+
+    Core 2 writes a line core 3 has read, and stalls on 3.  Core 1 then
+    opens a transaction (one poll sees that and still finds 3), works,
+    and reads the line: only that read makes core 1 a conflict, so a
+    poll that skipped the rescan after it would keep waiting on 3.
+    """
+    a = 0x1000
+    polls = []
+
+    def idle():
+        yield Work(1)
+
+    def late_reader():
+        def body():
+            yield Work(220)
+            yield Read(a)
+            yield Work(2_000)
+        yield Work(300)
+        yield Tx(body)
+
+    def writer():
+        def body():
+            yield Write(a, 1)
+        yield Work(100)
+        yield Tx(body)
+
+    def holder():
+        def body():
+            yield Read(a)
+            yield Work(5_000)
+        yield Tx(body)
+
+    sim = Simulator(small_config(), scheme="logtm-se", seed=7)
+    poll = sim._stall_poll
+
+    def recording_poll(core):
+        poll(core)
+        polls.append((sim.queue.now, core.idx, core.waiting_on))
+
+    sim._stall_poll = recording_poll
+    res = sim.run([idle, late_reader, writer, holder])
+    begin_at, read_at = 300, 300 + 4 + 220  # + checkpoint + body work
+    mine = [(t, held) for t, idx, held in polls if idx == 2]
+    assert {held for t, held in mine if t < read_at} == {3}
+    assert any(begin_at < t < read_at for t, _ in mine)
+    assert [held for t, held in mine if t > read_at][0] == 1
+    assert res.commits == 3 and res.memory[a] == 1
+
+
 def test_lazy_tx_invisible_until_commit_then_wins():
     a = 0x1000
 

@@ -101,6 +101,11 @@ def test_ci_has_the_study_smoke_determinism_gate():
     assert "study compare" in text
 
 
+def test_bench_smoke_runs_the_e2e_benchmark_tests():
+    job = CI.read_text().split("bench-smoke:")[1].split("\n  bench-regression:")[0]
+    assert "python -m pytest benchmarks/e2e" in job
+
+
 def test_nightly_study_is_scheduled_and_dispatchable():
     text = NIGHTLY.read_text()
     assert "schedule:" in text and re.search(r"cron:\s*\"", text)
