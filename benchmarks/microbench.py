@@ -3,21 +3,13 @@
 
 ``repro bench`` measures end-to-end host throughput; this suite times
 the individual substrate operations the tentpole optimizations target —
-event-queue scheduling, Bloom-signature tests, the batched conflict
-scan, cache lookups, H3 mask memoization, mesh latency lookups and
-directory updates — so a regression (or a win) is attributable to a
-specific layer.
-
-Every benchmark that has an accelerated implementation builds its
-substrate through the accel backend (``--accel``, default resolution =
-``$REPRO_ACCEL`` else ``pure``), so the same suite measures both the
-big-int and the vector kernels; CI runs it once per backend and
-publishes both artifacts.
+event-queue scheduling, Bloom-signature tests, cache lookups, H3 mask
+memoization, mesh latency lookups and directory updates — so a
+regression (or a win) is attributable to a specific layer.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/microbench.py [--json] [--quick]
-        [--accel {pure,vector,auto}]
 
 Each benchmark is a closed loop over a fixed op count; the fastest of
 three repetitions is reported (ops/sec), which filters scheduler noise
@@ -39,45 +31,43 @@ if __package__ in (None, ""):  # running as a script
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.accel import resolve_backend
 from repro.config import CacheConfig, MeshConfig, DirectoryConfig, SignatureConfig
 from repro.interconnect.mesh import Mesh
 from repro.mem.cache import SetAssocCache
+from repro.mem.directory import Directory
+from repro.sim.kernel import EventQueue
+from repro.signatures.bloom import BloomSignature
 from repro.signatures.hashes import H3HashFamily
 
 #: best-of repetitions per benchmark
 REPEATS = 3
 
 
-def _best_of(fn, ops: int, accel) -> float:
-    """ops/sec for ``fn(ops, accel)`` — fastest of :data:`REPEATS` runs."""
+def _best_of(fn, ops: int) -> float:
+    """ops/sec for ``fn(ops)`` — fastest of :data:`REPEATS` runs."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        fn(ops, accel)
+        fn(ops)
         best = min(best, time.perf_counter() - start)
     return ops / best
 
 
-def bench_event_queue(ops: int, accel) -> None:
-    """schedule+run cycles through the kernel (mixed zero/nonzero delay).
-
-    Uses ``schedule_fast`` — the fire-and-forget path the simulator's
-    non-cancellable call sites take on both backends.
-    """
-    queue = accel.make_event_queue()
+def bench_event_queue(ops: int) -> None:
+    """schedule+run cycles through the kernel (mixed zero/nonzero delay)."""
+    queue = EventQueue()
     fn = (lambda: None)
     batch = 64
     for _ in range(ops // batch):
         for i in range(batch):
-            queue.schedule_fast(i & 3, fn)  # 1/4 zero-delay fast path
+            queue.schedule(i & 3, fn)  # 1/4 zero-delay fast path
         queue.run()
 
 
-def bench_bloom_test(ops: int, accel) -> None:
+def bench_bloom_test(ops: int) -> None:
     """membership tests against a populated 2 Kbit signature."""
-    ctx = accel.make_signature_context(SignatureConfig())
-    sig = ctx.make_signature()
+    cfg = SignatureConfig()
+    sig = BloomSignature(cfg.bits, cfg.hashes, cfg.seed)
     lines = [0x4000 + 64 * i for i in range(256)]
     for line in lines[:64]:
         sig.add(line)
@@ -87,30 +77,7 @@ def bench_bloom_test(ops: int, accel) -> None:
         test(lines[i % n])
 
 
-def bench_signature_scan(ops: int, accel) -> None:
-    """one precomputed mask probed against 128 armed signatures.
-
-    The conflict scan's shape: every transactional access tests one
-    line's H3 mask against all other cores' read/write signatures.  The
-    pure scan loops over the set; the vector scan gathers the pool rows
-    and compares them in one matrix op.  Probe lines are disjoint from
-    the inserted ones, so the pure loop pays the full-scan worst case —
-    exactly the no-conflict common case of a real run.
-    """
-    ctx = accel.make_signature_context(SignatureConfig())
-    sigs = [ctx.make_signature() for _ in range(128)]
-    for k, sig in enumerate(sigs):
-        for j in range(16):
-            sig.add(0x4000 + 64 * (k * 16 + j))
-    scan = ctx.make_scan(sigs)
-    probe = [ctx.mask_of(0x900_0000 + 64 * i) for i in range(64)]
-    first_match = scan.first_match
-    n = len(probe)
-    for i in range(ops):
-        first_match(probe[i % n])
-
-
-def bench_cache_lookup(ops: int, accel) -> None:
+def bench_cache_lookup(ops: int) -> None:
     """L1-geometry lookups, ~3:1 hit:miss."""
     cache = SetAssocCache(CacheConfig(size_bytes=32_768, ways=4, latency=1))
     from repro.mem.cache import CacheLineState
@@ -124,7 +91,7 @@ def bench_cache_lookup(ops: int, accel) -> None:
         lookup(probe[i % n])
 
 
-def bench_h3_mask(ops: int, accel) -> None:
+def bench_h3_mask(ops: int) -> None:
     """memoized H3 mask fetches (the conflict scan's per-line hash)."""
     cfg = SignatureConfig()
     family = H3HashFamily.shared(cfg.hashes, cfg.bits, cfg.seed)
@@ -137,7 +104,7 @@ def bench_h3_mask(ops: int, accel) -> None:
         mask(lines[i % n])
 
 
-def bench_mesh_latency(ops: int, accel) -> None:
+def bench_mesh_latency(ops: int) -> None:
     """core→bank latency lookups on the 4x4 mesh (precomputed tables)."""
     mesh = Mesh(16, MeshConfig())
     core_to_bank = mesh.core_to_bank
@@ -145,9 +112,9 @@ def bench_mesh_latency(ops: int, accel) -> None:
         core_to_bank(i & 15, i)
 
 
-def bench_directory_update(ops: int, accel) -> None:
+def bench_directory_update(ops: int) -> None:
     """owner/sharer recording plus holder queries."""
-    directory = accel.make_directory(DirectoryConfig(), n_cores=16)
+    directory = Directory(DirectoryConfig(), n_cores=16)
     record_owner = directory.record_owner
     holders = directory.holders
     for i in range(ops):
@@ -156,14 +123,14 @@ def bench_directory_update(ops: int, accel) -> None:
         holders(line)
 
 
-def bench_directory_probe(ops: int, accel) -> None:
+def bench_directory_probe(ops: int) -> None:
     """holder queries against wide sharer sets (invalidation fan-out).
 
     ``_invalidate_holders`` and the read path materialize the holder
     set of lines shared by many cores; this times that query shape with
     every tracked line held by all 16 cores.
     """
-    directory = accel.make_directory(DirectoryConfig(), n_cores=16)
+    directory = Directory(DirectoryConfig(), n_cores=16)
     for line in range(256):
         for core in range(16):
             directory.record_shared(line, core)
@@ -175,7 +142,6 @@ def bench_directory_probe(ops: int, accel) -> None:
 BENCHES = (
     ("event_queue_ops", bench_event_queue, 200_000),
     ("bloom_test_ops", bench_bloom_test, 500_000),
-    ("signature_scan_ops", bench_signature_scan, 100_000),
     ("cache_lookup_ops", bench_cache_lookup, 500_000),
     ("h3_mask_ops", bench_h3_mask, 500_000),
     ("mesh_latency_ops", bench_mesh_latency, 500_000),
@@ -184,16 +150,11 @@ BENCHES = (
 )
 
 
-def run_microbench(quick: bool = False, accel: str = "") -> dict[str, float]:
-    """All benchmarks; returns ``{name: ops_per_sec}``.
-
-    ``accel`` is an ``HTMConfig.accel``-style backend name; ``""``
-    defers to ``$REPRO_ACCEL`` (default ``pure``).
-    """
-    backend = resolve_backend(accel)
+def run_microbench(quick: bool = False) -> dict[str, float]:
+    """All benchmarks; returns ``{name: ops_per_sec}``."""
     scale = 50 if quick else 1
     return {
-        name: round(_best_of(fn, max(1000, ops // scale), backend), 1)
+        name: round(_best_of(fn, max(1000, ops // scale)), 1)
         for name, fn, ops in BENCHES
     }
 
@@ -204,25 +165,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="emit {name: ops_per_sec} JSON")
     parser.add_argument("--quick", action="store_true",
                         help="1/50th op counts (smoke-test mode)")
-    parser.add_argument("--accel", default="",
-                        choices=("pure", "vector", "auto"),
-                        help="accel backend (default: $REPRO_ACCEL else pure)")
     parser.add_argument("--out", metavar="PATH",
                         help="also write the JSON report to PATH")
     args = parser.parse_args(argv)
-    backend = resolve_backend(args.accel)
-    results = run_microbench(quick=args.quick, accel=backend.name)
+    results = run_microbench(quick=args.quick)
     doc = {
         "schema_version": 1,
         "quick": args.quick,
-        "backend": backend.name,
         "ops_per_s": results,
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         width = max(len(name) for name in results)
-        print(f"accel backend: {backend.name}")
         for name, rate in results.items():
             print(f"{name:<{width}}  {rate:>14,.0f} ops/s")
     if args.out:

@@ -492,8 +492,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
          "txs/s"],
         rows,
         title=f"bench — scale {args.scale}, "
-              f"calibration {doc['calibration_s']:.3f}s, "
-              f"accel {doc['provenance']['accel_backend']}",
+              f"calibration {doc['calibration_s']:.3f}s",
     ))
     print()
     print(format_phase_table({

@@ -159,15 +159,6 @@ class HTMConfig:
     #: at cycle 0 (deterministic timing, used by the unit tests); the
     #: benchmark harness uses a realistic window.
     start_stagger: int = 0
-    #: host-acceleration backend for the hot substrates (event queue,
-    #: signatures, conflict scan, directory): ``""`` defers to the
-    #: ``REPRO_ACCEL`` environment variable (default ``pure``),
-    #: ``pure``/``vector`` force a backend, ``auto`` picks ``vector``
-    #: when available and falls back to ``pure``.  Simulated results
-    #: are bit-identical across backends (DESIGN §16), so this knob is
-    #: deliberately *not* part of :class:`~repro.runner.ExperimentSpec`
-    #: identity and never invalidates cached results.
-    accel: str = ""
     #: scheduler time slice for thread multiplexing (Section IV-C).
     #: 0 = no preemption unless there are more threads than cores, in
     #: which case a 20K-cycle default slice applies.
@@ -208,11 +199,6 @@ class HTMConfig:
 
         if resolution not in RESOLUTION_AXIS:
             raise ValueError(f"unknown conflict resolution {resolution!r}")
-        if self.accel not in ("", "pure", "vector", "auto"):
-            raise ValueError(
-                f"unknown accel backend {self.accel!r} "
-                "(expected '', 'pure', 'vector' or 'auto')"
-            )
         arb = self.arbitration
         if arb != "serial" and not (
             arb.startswith("width") and arb[5:].isdigit() and int(arb[5:]) >= 2

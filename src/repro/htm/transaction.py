@@ -71,23 +71,17 @@ class TxFrame:
         now: int,
         sig_config: SignatureConfig,
         mode: str = "eager",
-        sig_factory: "Callable[[], Any] | None" = None,
     ) -> "TxFrame":
-        # the simulator passes its accel backend's signature factory so
-        # vector-backend frames draw rows from the shared pool; bare
-        # construction (tests, tools) keeps the pure big-int default
-        if sig_factory is None:
-            def sig_factory() -> BloomSignature:
-                return BloomSignature(sig_config.bits, sig_config.hashes,
-                                      sig_config.seed)
         return cls(
             site=site,
             body_factory=body_factory,
             depth=depth,
             timestamp=timestamp,
             start_time=now,
-            read_sig=sig_factory(),
-            write_sig=sig_factory(),
+            read_sig=BloomSignature(sig_config.bits, sig_config.hashes,
+                                    sig_config.seed),
+            write_sig=BloomSignature(sig_config.bits, sig_config.hashes,
+                                     sig_config.seed),
             mode=mode,
         )
 
@@ -126,31 +120,23 @@ class TxFrame:
         self.attempt += 1
 
     # conflict membership tests ----------------------------------------
-    # the value-based variants fetch the H3 mask once per *line* and
-    # reuse it across both signatures (they share one hash family);
-    # calling BloomSignature.test(value) per signature would pay the
-    # memo lookup per probed signature instead
     def may_read_conflict(self, line: int) -> bool:
         """Would a remote *write* to ``line`` conflict with this frame?"""
-        mask = self.read_sig.line_mask(line)
-        return (self.read_sig.test_mask(mask)
-                or self.write_sig.test_mask(mask))
+        return self.read_sig.test(line) or self.write_sig.test(line)
 
     def may_write_conflict(self, line: int) -> bool:
         """Would a remote *read* of ``line`` conflict with this frame?"""
-        return self.write_sig.test_mask(self.write_sig.line_mask(line))
+        return self.write_sig.test(line)
 
     # mask variants: the conflict scan probes one line against many
-    # frames; the caller computes ``sig.line_mask(line)`` once and
-    # reuses it.  Both signatures share the same hash family (one
-    # silicon matrix), so one mask serves both — but each signature is
-    # tested separately: OR-ing the filter words first would merge bit
-    # sets and manufacture false positives.  The mask is a big int for
-    # the pure backend and a uint64 word array for the vector one;
-    # ``test_mask`` consumes whichever its signature produced.
-    def may_read_conflict_mask(self, mask: Any) -> bool:
+    # frames; the caller computes ``family.mask(line)`` once and reuses
+    # it.  Both signatures share the same hash family (one silicon
+    # matrix), so one mask serves both — but each signature is tested
+    # separately: OR-ing the filter words first would merge bit sets and
+    # manufacture false positives.
+    def may_read_conflict_mask(self, mask: int) -> bool:
         return (self.read_sig.test_mask(mask)
                 or self.write_sig.test_mask(mask))
 
-    def may_write_conflict_mask(self, mask: Any) -> bool:
+    def may_write_conflict_mask(self, mask: int) -> bool:
         return self.write_sig.test_mask(mask)

@@ -27,6 +27,7 @@ from repro.mem.cache import SetAssocCache
 _M = int(S.MODIFIED)
 _E = int(S.EXCLUSIVE)
 _S = int(S.SHARED)
+from repro.mem.directory import Directory
 from repro.mem.memory import MainMemory
 
 
@@ -58,13 +59,7 @@ class MemoryHierarchy:
         self.mesh = mesh or Mesh(config.n_cores, config.mesh, config.memory.banks)
         self.l1s = [SetAssocCache(config.l1) for _ in range(config.n_cores)]
         self.l2 = SetAssocCache(config.l2)
-        # the accel backend supplies the directory implementation (pure
-        # set-based or vector bitmask); holder sets are equal either way
-        from repro.accel import resolve_backend
-
-        self.directory = resolve_backend(config.htm.accel).make_directory(
-            config.directory, config.n_cores
-        )
+        self.directory = Directory(config.directory, config.n_cores)
         self.memory = MainMemory(config.memory)
         # latency constants hoisted out of the per-access attribute
         # chains (config.l1.latency etc. never change after construction)

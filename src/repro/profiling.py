@@ -72,13 +72,10 @@ def profile_spec(
         name: {"cycles": cycles, "share": round(cycles / total, 4)}
         for name, cycles in result.breakdown.cycles.items()
     }
-    from repro.accel import default_backend_name
-
     return {
         "spec": spec.label(),
         "scheme": result.scheme,
         "sort": sort,
-        "accel_backend": default_backend_name(),
         "host": {
             "wall_s": round(wall, 6),
             "events_executed": result.events_executed,
@@ -94,10 +91,8 @@ def profile_spec(
 def format_profile(report: dict[str, Any]) -> str:
     """Render a :func:`profile_spec` report as an aligned text table."""
     host = report["host"]
-    backend = report.get("accel_backend", "pure")
     lines = [
-        f"profile — {report['spec']} (sorted by {report['sort']}, "
-        f"accel {backend})",
+        f"profile — {report['spec']} (sorted by {report['sort']})",
         f"  wall {host['wall_s']:.3f}s | "
         f"{host['events_per_s']:,.0f} events/s | "
         f"{host['sim_cycles_per_s']:,.0f} sim-cycles/s",

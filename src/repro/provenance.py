@@ -49,8 +49,8 @@ def git_dirty() -> bool | None:
 
 
 @lru_cache(maxsize=1)
-def _host_provenance() -> dict:
-    """The process-constant part of the record (cacheable)."""
+def provenance() -> dict:
+    """A JSON-safe record identifying code, interpreter and host."""
     from repro import __version__
 
     return {
@@ -62,16 +62,3 @@ def _host_provenance() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
     }
-
-
-def provenance() -> dict:
-    """A JSON-safe record identifying code, interpreter and host.
-
-    The accel backend is resolved fresh on every call (``REPRO_ACCEL``
-    can change between runs inside one process, e.g. in tests), on top
-    of the cached host record.  Backends never change simulated results
-    — the key records host-performance context, not result identity.
-    """
-    from repro.accel import default_backend_name
-
-    return {**_host_provenance(), "accel_backend": default_backend_name()}

@@ -50,17 +50,6 @@ class BloomSignature:
         """
         return self._word & mask == mask
 
-    def line_mask(self, value: int) -> int:
-        """The pre-computed H3 mask for ``value``, ready for
-        :meth:`test_mask`.
-
-        Callers probing one line against several signatures fetch the
-        mask once here instead of paying a memo lookup per signature;
-        the vector backend returns a word array from the same method,
-        so mask-reusing call sites stay backend-agnostic.
-        """
-        return self._hash.mask(value)
-
     @property
     def family(self) -> H3HashFamily:
         """The shared hash family (source of pre-computed masks)."""
@@ -167,19 +156,6 @@ class CountingSummarySignature:
     def clear(self) -> None:
         self._sig = 0
         self._once = 0
-
-    def rebuild(self, values) -> None:
-        """Clear and re-insert ``values`` (the periodic software rebuild).
-
-        Sequential re-insertion from empty is order-independent (the
-        final ``sig``/``once`` words depend only on the multiset of
-        inserted addresses), which is what lets the vector backend
-        replace this loop with whole-array operations while staying
-        bit-identical.
-        """
-        self.clear()
-        for value in values:
-            self.add(value)
 
     @property
     def popcount(self) -> int:

@@ -42,11 +42,6 @@ class H3HashFamily:
         ).tolist()
         self._memo: dict[int, tuple[int, ...]] = {}
         self._mask_memo: dict[int, int] = {}
-        self._words_memo: dict[int, np.ndarray] = {}
-        self._unique_memo: dict[int, int] = {}
-        self._unique_words_memo: dict[int, np.ndarray] = {}
-        #: 64-bit words in the word-array representation of one mask
-        self.words = max(1, m // 64)
 
     @classmethod
     def shared(cls, k: int, m: int, seed: int) -> "H3HashFamily":
@@ -96,65 +91,3 @@ class H3HashFamily:
             memo.pop(next(iter(memo)))
         memo[value] = mask
         return mask
-
-    def _to_words(self, mask: int) -> np.ndarray:
-        """The big-int ``mask`` as a read-only little-endian uint64 array.
-
-        Bit ``i`` of the integer lands in bit ``i % 64`` of word
-        ``i // 64`` — the layout every vector-backend signature uses, so
-        word-array and big-int filters agree bit for bit.
-        """
-        raw = mask.to_bytes(self.words * 8, "little")
-        arr = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        arr.flags.writeable = False
-        return arr
-
-    def mask_words(self, value: int) -> np.ndarray:
-        """:meth:`mask` as a read-only uint64 word array (memoized)."""
-        cached = self._words_memo.get(value)
-        if cached is not None:
-            return cached
-        arr = self._to_words(self.mask(value))
-        memo = self._words_memo
-        if len(memo) >= _MEMO_LIMIT:
-            memo.pop(next(iter(memo)))
-        memo[value] = arr
-        return arr
-
-    def unique_mask(self, value: int) -> int:
-        """Bitmask of positions hit by exactly one of the k hashes.
-
-        H3 members are independent, so two hashes may collide on one
-        position for some addresses; the counting summary signature's
-        sequential semantics treat such a doubly-hit bit as *not*
-        uniquely owned.  The vectorized add/rebuild paths need that
-        split precomputed to stay bit-identical to the per-index loop.
-        """
-        cached = self._unique_memo.get(value)
-        if cached is not None:
-            return cached
-        seen = 0
-        dup = 0
-        for idx in self.indexes(value):
-            bit = 1 << idx
-            if seen & bit:
-                dup |= bit
-            seen |= bit
-        unique = seen & ~dup
-        memo = self._unique_memo
-        if len(memo) >= _MEMO_LIMIT:
-            memo.pop(next(iter(memo)))
-        memo[value] = unique
-        return unique
-
-    def unique_mask_words(self, value: int) -> np.ndarray:
-        """:meth:`unique_mask` as a read-only uint64 word array."""
-        cached = self._unique_words_memo.get(value)
-        if cached is not None:
-            return cached
-        arr = self._to_words(self.unique_mask(value))
-        memo = self._unique_words_memo
-        if len(memo) >= _MEMO_LIMIT:
-            memo.pop(next(iter(memo)))
-        memo[value] = arr
-        return arr

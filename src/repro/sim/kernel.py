@@ -122,14 +122,6 @@ class EventQueue:
         """Schedule ``fn`` at an absolute timestamp ``time >= now``."""
         return self.schedule(time - self.now, fn)
 
-    #: fire-and-forget variant of :meth:`schedule` for call sites that
-    #: never cancel (the overwhelming majority of the simulator's hot
-    #: scheduling).  The pure queue has no cheaper representation than
-    #: an Event, so this is an alias; the vector backend's calendar
-    #: queue overrides it with a no-allocation fast path.  Callers must
-    #: treat the return value as ``None``.
-    schedule_fast = schedule
-
     # ------------------------------------------------------------------
     def _maybe_compact(self) -> None:
         """Drop cancelled heap entries once they dominate the queue."""

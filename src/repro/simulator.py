@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-from repro.accel import resolve_backend
 from repro.config import LINE_SHIFT, SimConfig
 from repro.errors import DeadlockError, InvariantViolation, TransactionError
 from repro.faults import FaultInjector, FaultPlan
@@ -54,6 +53,7 @@ from repro.htm.transaction import TxFrame
 from repro.htm.vm.base import VersionManager, make_version_manager
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.oracle import OracleRecorder
+from repro.signatures.hashes import H3HashFamily
 from repro.sim.kernel import Event, EventQueue
 from repro.sim.rng import RngStreams
 from repro.stats.breakdown import Breakdown
@@ -278,13 +278,7 @@ class Simulator:
         trace: Tracer | bool | int | None = None,
     ) -> None:
         self.config = config or SimConfig()
-        #: accel backend (DESIGN §16): supplies the event queue, the
-        #: frame signatures + conflict scan, the summary signature and
-        #: the directory.  Simulated results are bit-identical across
-        #: backends; only host speed differs.
-        self.accel = resolve_backend(self.config.htm.accel)
-        # pure EventQueue or the vector calendar queue (duck-typed twin)
-        self.queue: EventQueue = self.accel.make_event_queue()
+        self.queue = EventQueue()
         self.rng = RngStreams(seed)
         self.hierarchy = MemoryHierarchy(self.config)
         self.memory = self.hierarchy.memory
@@ -302,18 +296,14 @@ class Simulator:
         #: silicon hash matrix); the conflict scan fetches one mask per
         #: probed line from it instead of re-hashing per signature
         sig = self.config.signature
-        self._sig_ctx = self.accel.make_signature_context(sig)
-        self._sig_family = self._sig_ctx.family
-        #: row pool of the vector backend (None on pure): its presence
-        #: selects the batched conflict scan in ``_find_conflict``
-        self._sig_pool = self._sig_ctx.pool
+        self._sig_family = H3HashFamily.shared(sig.hashes, sig.bits, sig.seed)
         #: per-frame scheme hooks resolved once — probing them with
         #: getattr() on every access is measurable on the hot path
         self._spec_for_frame = getattr(self.scheme, "speculative_for", None)
         self._local_for_frame = getattr(self.scheme, "local_writes_for", None)
         self._spec_const = self.scheme.wants_speculative_marking()
         self._local_const = self.scheme.uses_local_writes()
-        self._mask_of = self._sig_ctx.mask_of
+        self._mask_of = self._sig_family.mask
         #: multiversion snapshot hooks (mvsuv); every one is None for
         #: ordinary schemes, so the per-access guard is one attribute
         #: test and no behaviour changes
@@ -426,7 +416,7 @@ class Simulator:
             offset = int(stagger_rng.integers(0, window + 1)) if window else 0
             core.charge("NoTrans", offset)  # thread-launch skew
             ctx.slice_start = offset
-            self.queue.schedule_fast(offset, lambda c=core: self._step(c))
+            self.queue.schedule(offset, lambda c=core: self._step(c))
 
         if self.oracle is not None:
             self.oracle.attach(self)
@@ -563,9 +553,9 @@ class Simulator:
             core.charge("NoTrans", cost)
         if reason == "stall":
             core.charge("Stalled", self.queue.now - ctx.park_start)
-            self.queue.schedule_fast(cost, core.retry_cb)
+            self.queue.schedule(cost, core.retry_cb)
         else:
-            self.queue.schedule_fast(cost, core.step_cb)
+            self.queue.schedule(cost, core.step_cb)
 
     def _should_preempt(self, core: _Core) -> bool:
         if not self._multiplex or not self._ready:
@@ -635,7 +625,7 @@ class Simulator:
                 frames[-1].tentative_cycles += cycles
             else:
                 core.charge("NoTrans", cycles)
-            self.queue.schedule_fast(cycles, core.step_cb)
+            self.queue.schedule(cycles, core.step_cb)
         elif isinstance(op, (Tx, OpenTx)):
             self._begin_tx(core, op)
         elif isinstance(op, Barrier):
@@ -644,7 +634,7 @@ class Simulator:
             raise TypeError(f"unknown operation {op!r}")
 
     def _resume_after(self, core: _Core, delay: int) -> None:
-        self.queue.schedule_fast(delay, core.step_cb)
+        self.queue.schedule(delay, core.step_cb)
 
 
     # ------------------------------------------------------------------
@@ -670,7 +660,6 @@ class Simulator:
             now=self.queue.now,
             sig_config=self.config.signature,
             mode=mode,
-            sig_factory=self._sig_ctx.make_signature,
         )
         frame.parent = core.frames[-1] if core.frames else None
         frame.read_only = declared_ro
@@ -774,7 +763,7 @@ class Simulator:
             self.trace.note_commit(latency)
         core.charge("Committing", latency)
         core.status = COMMITTING
-        self.queue.schedule_fast(latency, lambda: self._finish_commit(core, tx_value))
+        self.queue.schedule(latency, lambda: self._finish_commit(core, tx_value))
 
     def _finish_commit(self, core: _Core, tx_value: Any) -> None:
         frame = core.frames.pop()
@@ -861,7 +850,7 @@ class Simulator:
         core.charge("Aborting", latency)
         core.status = ABORTING
         self.aborts += 1
-        self.queue.schedule_fast(latency, lambda: self._finish_abort(core, depth))
+        self.queue.schedule(latency, lambda: self._finish_abort(core, depth))
 
     def _finish_abort(self, core: _Core, depth: int) -> None:
         retry_frame = core.frames[depth]
@@ -902,7 +891,7 @@ class Simulator:
             delay = self.faults.perturb_backoff(core.idx, delay)
         core.charge("Backoff", delay)
         core.status = BACKOFF
-        self.queue.schedule_fast(delay, lambda: self._retry_tx(core, depth))
+        self.queue.schedule(delay, lambda: self._retry_tx(core, depth))
 
     def _retry_tx(self, core: _Core, depth: int) -> None:
         frame = core.frames[depth]
@@ -1044,9 +1033,9 @@ class Simulator:
             if frame.vm.get("must_abort"):
                 core.doomed_depth = 0
                 # the overflow is noticed when the access completes
-                self.queue.schedule_fast(latency, lambda: self._begin_abort(core))
+                self.queue.schedule(latency, lambda: self._begin_abort(core))
                 return
-            self.queue.schedule_fast(latency, core.step_cb)
+            self.queue.schedule(latency, core.step_cb)
         else:
             extra, phys = scheme.nontx_translate(core.idx, line)
             if is_write:
@@ -1065,7 +1054,7 @@ class Simulator:
                     self.oracle.record_nontx(core.idx, False, op.addr, value)
                 ctx.pending_send = value if value is not None else _SENTINEL_NONE
             core.charge("NoTrans", result.latency + extra)
-            self.queue.schedule_fast(result.latency + extra, core.step_cb)
+            self.queue.schedule(result.latency + extra, core.step_cb)
 
     def _snapshot_access(
         self, core: _Core, op: Read | Write, line: int, is_write: bool,
@@ -1103,7 +1092,7 @@ class Simulator:
             self.oracle.record_tx_read(frame, op.addr, value)
         frame.tentative_cycles += latency
         ctx.pending_send = value if value is not None else _SENTINEL_NONE
-        self.queue.schedule_fast(latency, core.step_cb)
+        self.queue.schedule(latency, core.step_cb)
 
     def _tx_read_value(self, core: _Core, addr: int) -> int:
         for frame in reversed(core.ctx.frames):
@@ -1135,8 +1124,6 @@ class Simulator:
         self, core: _Core, line: int, is_write: bool
     ) -> tuple[str, Any] | None:
         """The first conflicting holder: ("core", idx) or ("suspended", ctx)."""
-        if self._sig_pool is not None:
-            return self._find_conflict_vector(core, line, is_write)
         # one H3 mask for the probed line serves every signature test in
         # the scan; the per-frame visibility and Bloom tests are inlined
         # because this loop runs for every access of every core (DESIGN
@@ -1159,52 +1146,6 @@ class Simulator:
         if self._multiplex:
             # suspended transactions' signatures stay armed (the summary
             # signature of Section IV-C)
-            for ctx in self._ctxs:
-                if ctx.done or not ctx.frames or ctx is core.ctx:
-                    continue
-                if any(c.ctx is ctx for c in self.cores):
-                    continue  # mounted: handled above
-                if self._frames_conflict_mask(ctx.frames, mask, is_write) is not None:
-                    return ("suspended", ctx)
-        return None
-
-    def _find_conflict_vector(
-        self, core: _Core, line: int, is_write: bool
-    ) -> tuple[str, Any] | None:
-        """Batched conflict scan over the vector backend's row pool.
-
-        The rows of every visible frame are gathered *in the pure scan
-        order* (per core, write signature first, then — on a write probe
-        — the read signature) with a parallel owners list, and probed
-        against one precomputed mask in a single vectorized comparison.
-        ``first_match`` returns the first matching row, so the reported
-        conflicting core is exactly the one the pure loop would find;
-        rows of the same core are interchangeable because both orders
-        name the same owner.
-        """
-        mask = self._mask_of(line)
-        my_idx = core.idx
-        rows: list[int] = []
-        owners: list[int] = []
-        for other in self.cores:
-            octx = other.ctx
-            if octx is None or other.idx == my_idx:
-                continue
-            for frame in octx.frames:
-                if frame.mode == "lazy" and not frame.vm.get("publishing"):
-                    continue  # invisible until it starts publishing
-                rows.append(frame.write_sig._row)
-                owners.append(other.idx)
-                if is_write:
-                    rows.append(frame.read_sig._row)
-                    owners.append(other.idx)
-        if rows:
-            hit = self._sig_pool.first_match(rows, mask)
-            if hit >= 0:
-                return ("core", owners[hit])
-        if self._multiplex:
-            # suspended contexts are few and cold; the per-frame mask
-            # tests below consume the vector mask directly
             for ctx in self._ctxs:
                 if ctx.done or not ctx.frames or ctx is core.ctx:
                     continue
@@ -1288,8 +1229,6 @@ class Simulator:
         period = self._stall_period if period is None else period
         if self.faults is not None:
             period = self.faults.perturb_stall_retry(core.idx, period)
-        # NOT schedule_fast: the retry event must stay cancellable (the
-        # stall path cancels it when the blocker clears early)
         core.retry_event = self.queue.schedule(period, core.stall_poll_cb)
 
     def _unstall(self, core: _Core) -> None:
@@ -1367,11 +1306,11 @@ class Simulator:
                 waiter.retry_event = None
             waiter.waiting_on = None
             waiter.status = RUNNING
-            self.queue.schedule_fast(0, waiter.retry_cb)
+            self.queue.schedule(0, waiter.retry_cb)
         core.waiters.clear()
 
     def _resume_retry(self, core: _Core, delay: int) -> None:
-        self.queue.schedule_fast(delay, core.retry_cb)
+        self.queue.schedule(delay, core.retry_cb)
 
     def _retry_pending(self, core: _Core) -> None:
         ctx = core.ctx
@@ -1497,7 +1436,7 @@ class Simulator:
                         c = self.cores[ctx.last_core]
                         c.charge("Barrier", wait)
                         c.status = RUNNING
-                        self.queue.schedule_fast(0, lambda cc=c: self._step(cc))
+                        self.queue.schedule(0, lambda cc=c: self._step(cc))
                 self._schedule_ready()
 
 

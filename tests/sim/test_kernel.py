@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import BudgetExhausted
 from repro.sim.kernel import EventQueue
 
 
@@ -127,3 +128,78 @@ def test_peak_queue_tracks_live_events_only():
     # each event is cancelled before the next schedule, so at most one
     # event is ever live; counting cancelled garbage would report 5 here
     assert q2.peak_queue == 1
+
+
+def test_zero_delay_mid_drain_runs_same_cycle():
+    q = EventQueue()
+    log = []
+
+    def chain(n):
+        log.append((q.now, n))
+        if n < 3:
+            q.schedule(0, lambda: chain(n + 1))
+
+    q.schedule(5, lambda: chain(0))
+    q.schedule(6, lambda: log.append((q.now, "later")))
+    q.run()
+    assert log == [(5, 0), (5, 1), (5, 2), (5, 3), (6, "later")]
+
+
+def test_cancelling_one_of_two_same_time_events_keeps_the_other():
+    q = EventQueue()
+    log = []
+    keep = q.schedule(3, lambda: log.append("keep"))
+    kill = q.schedule(3, lambda: log.append("kill"))
+    q.schedule(4, lambda: log.append("tail"))
+    kill.cancel()
+    assert len(q) == 2
+    q.run()
+    assert log == ["keep", "tail"]
+    assert not keep.cancelled
+
+
+def test_event_budget_leaves_the_tail_resumable():
+    q = EventQueue()
+    log = []
+    for i in range(6):
+        q.schedule(i, lambda i=i: log.append(i))
+    with pytest.raises(BudgetExhausted) as exc_info:
+        q.run(max_events=3)
+    assert log == [0, 1, 2]
+    assert exc_info.value.cycle == 2
+    assert exc_info.value.context["events"] == 3
+    # a second run executes the intact tail and returns its count
+    assert q.run() == 3
+    assert log == [0, 1, 2, 3, 4, 5]
+
+
+def test_time_budget_reports_the_last_executed_cycle():
+    q = EventQueue()
+    log = []
+    q.schedule(1, lambda: log.append(1))
+    q.schedule(9, lambda: log.append(9))
+    with pytest.raises(BudgetExhausted, match="time budget") as exc_info:
+        q.run(max_time=5)
+    assert log == [1]
+    assert exc_info.value.cycle == 1
+
+
+def test_time_budget_ignores_a_cancelled_tail():
+    q = EventQueue()
+    log = []
+    q.schedule(1, lambda: log.append(1))
+    q.schedule(9, lambda: log.append(9)).cancel()
+    assert q.run(max_time=5) == 1  # no raise: nothing live lies past 5
+    assert log == [1]
+
+
+def test_step_advances_now_and_len():
+    q = EventQueue()
+    q.schedule(4, lambda: None)
+    q.schedule(7, lambda: None)
+    assert len(q) == 2
+    assert q.step()
+    assert (q.now, len(q)) == (4, 1)
+    assert q.step()
+    assert (q.now, len(q)) == (7, 0)
+    assert not q.step()

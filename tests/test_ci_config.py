@@ -19,6 +19,8 @@ SETUP = GITHUB / "actions" / "setup-repro" / "action.yml"
 #: exact semver tag, e.g. ``actions/checkout@v4.2.2``
 EXACT = re.compile(r"^v\d+\.\d+\.\d+$")
 USES = re.compile(r"uses:\s*(\S+)")
+#: a repo-relative test or benchmark path on a command line
+REPO_PATH = re.compile(r"(?<![\w/.-])((?:tests|benchmarks)/[\w./-]*)")
 
 
 def all_yaml_files():
@@ -104,6 +106,24 @@ def test_ci_has_the_study_smoke_determinism_gate():
 def test_bench_smoke_runs_the_e2e_benchmark_tests():
     job = CI.read_text().split("bench-smoke:")[1].split("\n  bench-regression:")[0]
     assert "python -m pytest benchmarks/e2e" in job
+
+
+def test_workflow_test_and_script_paths_exist():
+    # a job that points pytest or python at a deleted tests/ or
+    # benchmarks/ path would only fail on GitHub; catch it here
+    root = GITHUB.parent
+    checked = 0
+    for path in all_yaml_files():
+        text = path.read_text().replace("\\\n", " ")
+        for line in text.splitlines():
+            if "python" not in line:
+                continue
+            for target in REPO_PATH.findall(line):
+                checked += 1
+                assert (root / target).exists(), (
+                    f"{path.name}: {target} does not exist in the checkout"
+                )
+    assert checked, "no tests/ or benchmarks/ paths found — wrong regex?"
 
 
 def test_nightly_study_is_scheduled_and_dispatchable():
