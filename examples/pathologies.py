@@ -46,8 +46,8 @@ def neighbour(delay):
     return thread
 
 
-def run(scheme: str, policy: str = "stall"):
-    config = SimConfig(n_cores=4, htm=HTMConfig(resolution=policy))
+def run(scheme: str, resolution: str = "stall"):
+    config = SimConfig(n_cores=4, htm=HTMConfig(resolution=resolution))
     sim = Simulator(config, scheme=scheme, seed=1)
     res = sim.run([big_writer, neighbour(150), neighbour(300)])
     return res
@@ -58,7 +58,7 @@ def main() -> None:
     for scheme in ("logtm-se", "fastm", "suv", "lazy"):
         # abort_requester forces TX1-style rollbacks so the repair cost
         # is visible even in this tiny scenario
-        res = run(scheme, policy="abort_requester")
+        res = run(scheme, resolution="abort_requester")
         bd = res.breakdown.cycles
         rows.append((
             scheme, res.total_cycles, res.aborts,

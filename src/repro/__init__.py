@@ -64,7 +64,7 @@ from repro.faults import (
     list_presets,
     parse_plan,
 )
-from repro.htm.vm.base import available_schemes, register_scheme
+from repro.htm.vm.base import available_schemes
 from repro.oracle import OracleRecorder, check_run
 from repro.runner import (
     ArtifactStore,
@@ -117,7 +117,6 @@ __all__ = [
     "list_presets",
     "parse_plan",
     "provenance",
-    "register_scheme",
     "run_bench",
     "run_experiment",
     "run_matrix",

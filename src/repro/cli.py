@@ -74,7 +74,7 @@ _WORKLOAD_CHOICES = WORKLOAD_NAMES + ("synthetic",)
 
 
 def _scheme_name(value: str) -> str:
-    """``argparse`` type: any registered or composed scheme name."""
+    """``argparse`` type: any named or composed scheme name."""
     try:
         return resolve_scheme_name(value)
     except (UnknownSchemeError, IncompatiblePolicyError) as exc:
@@ -571,11 +571,11 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _schemes_doc() -> dict:
-    """The scheme registry + policy space as one JSON-friendly document."""
+    """The named schemes + policy space as one JSON-friendly document."""
     from repro.htm.policy import (
         ARBITRATION_AXIS,
-        CANONICAL_AXES,
         CD_AXIS,
+        NAMED_SCHEMES,
         RESOLUTION_AXIS,
         VM_AXIS,
         iter_scheme_space,
@@ -596,8 +596,8 @@ def _schemes_doc() -> dict:
             "arbitration": list(ARBITRATION_AXIS),
         },
         "canonical": [
-            {"name": name, "vm": vm, "cd": cd}
-            for name, (vm, cd) in CANONICAL_AXES.items()
+            {"name": name, "vm": row.vm, "cd": row.cd}
+            for name, row in NAMED_SCHEMES.items()
         ],
         "legal": legal,
         "illegal": illegal,
@@ -606,7 +606,7 @@ def _schemes_doc() -> dict:
 
 
 def scheme_table_markdown() -> str:
-    """The README scheme table, generated from the registry."""
+    """The README scheme table, generated from the named-scheme table."""
     doc = _schemes_doc()
     lines = [
         "| Scheme | VM axis | CD axis | Resolution | Arbitration |",
@@ -628,7 +628,7 @@ def scheme_table_markdown() -> str:
 
 
 def cmd_schemes(args: argparse.Namespace) -> int:
-    """Describe the scheme registry and the composed policy space."""
+    """Describe the named schemes and the composed policy space."""
     doc = _schemes_doc()
     if args.json:
         if args.list:
@@ -756,10 +756,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--scale", choices=("tiny", "small", "full"),
                    default="small")
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall",
-                   help="conflict-resolution axis (--policy is the "
-                        "deprecated spelling)")
+                   help="conflict-resolution axis")
     p.add_argument("--arbitration", default="serial",
                    help="commit-arbitration axis: serial or widthN "
                         "(N >= 2); applies to lazy-mode commits")
@@ -791,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one workload under one scheme")
     p.add_argument("workload", choices=_WORKLOAD_CHOICES)
     p.add_argument("scheme", type=_scheme_name, nargs="?", default="suv",
-                   help="a registered scheme name or a composed "
+                   help="a named scheme or a composed "
                         "vm+cd+resolution+arbitration name")
     p.add_argument("--vm",
                    choices=("undo", "flash", "redirect", "buffer", "mvsuv"),
@@ -851,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
     p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)
@@ -940,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.add_argument("--cores", type=int, default=4)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
     p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)
@@ -1051,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "schemes",
-        help="describe the scheme registry and composed policy space",
+        help="describe the named schemes and composed policy space",
     )
     p.add_argument("--list", action="store_true",
                    help="print every legal composed scheme name")

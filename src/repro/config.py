@@ -125,10 +125,6 @@ class RedirectConfig:
 class HTMConfig:
     """Transactional-memory policy parameters shared by all schemes."""
 
-    #: deprecated spelling of :attr:`resolution`; kept so old configs
-    #: keep working.  ``"abort"`` maps to ``"abort_requester"``.  Using
-    #: it emits a :class:`DeprecationWarning`; prefer ``resolution=``.
-    policy: str = ""
     #: conflict-resolution axis: ``stall`` (requester stalls; deadlock
     #: cycles are broken by aborting the youngest transaction),
     #: ``abort_requester`` (requester immediately aborts — partially,
@@ -138,7 +134,7 @@ class HTMConfig:
     #: of the contention managers ``polite``/``greedy``/``karma`` (see
     #: :mod:`repro.htm.policy` for their semantics).  The legal value
     #: set is :data:`repro.htm.policy.RESOLUTION_AXIS`.
-    resolution: str = ""
+    resolution: str = "stall"
     #: commit-arbitration axis for lazy-mode commits: ``serial`` (one
     #: committer at a time, the classic global token) or ``widthN``
     #: (N read/write-disjoint committers may overlap, N >= 2).
@@ -172,47 +168,18 @@ class HTMConfig:
     tx_slice_grace: int = 10
 
     def __post_init__(self) -> None:
-        resolution = self.resolution
-        if self.policy:
-            import warnings
-
-            mapped = (
-                "abort_requester" if self.policy == "abort" else self.policy
-            )
-            warnings.warn(
-                f"HTMConfig(policy={self.policy!r}) is deprecated; use "
-                f"HTMConfig(resolution={mapped!r})",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if resolution and resolution != mapped:
-                raise ValueError(
-                    f"conflicting policy={self.policy!r} and "
-                    f"resolution={resolution!r}"
-                )
-            resolution = mapped
-        if not resolution:
-            resolution = "stall"
         # deferred import: repro.htm.policy (via the repro.htm package)
         # imports this module at load time
-        from repro.htm.policy import RESOLUTION_AXIS
+        from repro.htm.policy import RESOLUTION_AXIS, parse_width
 
-        if resolution not in RESOLUTION_AXIS:
-            raise ValueError(f"unknown conflict resolution {resolution!r}")
-        arb = self.arbitration
-        if arb != "serial" and not (
-            arb.startswith("width") and arb[5:].isdigit() and int(arb[5:]) >= 2
-        ):
-            raise ValueError(f"unknown commit arbitration {arb!r}")
-        # normalize in place (frozen dataclass): the deprecated field is
-        # cleared so dataclasses.replace() does not re-warn
-        object.__setattr__(self, "policy", "")
-        object.__setattr__(self, "resolution", resolution)
+        if self.resolution not in RESOLUTION_AXIS:
+            raise ValueError(f"unknown conflict resolution {self.resolution!r}")
+        parse_width(self.arbitration)  # IncompatiblePolicyError (a ValueError)
 
 
 @dataclass(frozen=True)
-class DynTMConfig:
-    """History-based execution-mode selector of DynTM (behavioural)."""
+class AdaptiveConfig:
+    """DynTM's adaptive detection and lazy commit (behavioural)."""
 
     counter_bits: int = 2
     #: counter value at or above which a transaction site runs lazily.
@@ -240,7 +207,7 @@ class SimConfig:
     signature: SignatureConfig = field(default_factory=SignatureConfig)
     redirect: RedirectConfig = field(default_factory=RedirectConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
-    dyntm: DynTMConfig = field(default_factory=DynTMConfig)
+    dyntm: AdaptiveConfig = field(default_factory=AdaptiveConfig)
 
     def with_(self, **kwargs: Any) -> "SimConfig":
         """Return a copy with top-level fields replaced."""

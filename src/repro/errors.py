@@ -140,12 +140,12 @@ class CampaignJournalError(ReproError, RuntimeError):
 
 
 class UnknownSchemeError(ReproError, ValueError):
-    """A scheme name matched neither a registered scheme nor a legal
-    axis composition.
+    """A scheme name matched neither a named scheme nor a legal axis
+    composition.
 
     Inherits ``ValueError`` so pre-existing callers that catch the old
     bare ``ValueError`` from ``make_version_manager`` keep working.
-    ``suggestions`` holds near-miss registered names (close spellings),
+    ``suggestions`` holds near-miss scheme names (close spellings),
     already rendered into the message.
     """
 

@@ -350,8 +350,9 @@ class FaultInjector:
 
     # -- component discovery --------------------------------------------
     def _find(self, attr: str) -> Iterable[Any]:
-        """Instances of ``attr`` across the scheme and its sub-managers
-        (DynTM wraps an eager manager and a lazy one)."""
+        """Instances of ``attr`` across the scheme and its carriers: a
+        bare carrier VM holds them itself, the adaptive wrapper in its
+        ``eager`` and ``lazy`` carriers."""
         seen: list[Any] = []
         scheme = self._sim.scheme
         for vm in (scheme, getattr(scheme, "eager", None),

@@ -36,9 +36,9 @@ policy as independent config knobs):
     transactions may be between validation and publication at once).
 
 Every class here is a small, fully-typed policy object; the
-:class:`~repro.htm.vm.composed.ComposedVM` wrapper and the simulator
+:class:`~repro.htm.vm.composed.AdaptiveVM` wrapper and the simulator
 consume them without ``Any`` at the seams.  Legality of a combination
-is a physical property, not a registry accident —
+is a physical property, not a table accident —
 :meth:`SchemeComposition.check` rejects impossible crossings with a
 typed :class:`~repro.errors.IncompatiblePolicyError` carrying the
 reason.
@@ -49,7 +49,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
 
 from repro.errors import IncompatiblePolicyError, UnknownSchemeError
 
@@ -70,21 +70,37 @@ RESOLUTION_AXIS: tuple[str, ...] = (
     "stall", "abort_requester", "abort_responder", "timestamp",
     "polite", "greedy", "karma",
 )
-#: arbitration axis values enumerated by the registry; ``parse_width``
+#: arbitration axis values enumerated by the scheme space; ``parse_width``
 #: accepts any ``widthN`` with N >= 2 beyond these
 ARBITRATION_AXIS: tuple[str, ...] = ("serial", "width2", "width4")
 
-#: the six canonical scheme names mapped onto their (vm, cd) axes; the
-#: resolution and arbitration axes of a canonical scheme come from
-#: ``HTMConfig`` (default stall + serial)
-CANONICAL_AXES: Mapping[str, tuple[str, str]] = {
-    "logtm-se": ("undo", "eager"),
-    "fastm": ("flash", "eager"),
-    "suv": ("redirect", "eager"),
-    "lazy": ("buffer", "eager"),
-    "dyntm": ("flash", "adaptive"),
-    "dyntm+suv": ("redirect", "adaptive"),
-    "mvsuv": ("mvsuv", "eager"),
+class NamedScheme(NamedTuple):
+    """One row of :data:`NAMED_SCHEMES`."""
+
+    vm: str
+    cd: str
+    #: the name the scheme's results report (``SimResult.scheme``)
+    reports: str
+    #: other spellings that resolve to this scheme
+    aliases: tuple[str, ...] = ()
+
+
+#: the seven named schemes, in listing order (baseline first, the
+#: paper's contribution third, as in the figures): each is a (vm, cd)
+#: point of the space whose resolution and arbitration axes come from
+#: ``HTMConfig`` (default stall + serial).  ``dyntm`` reports
+#: ``dyntm+fastm``, the name its results always carried (the golden
+#: digests hash it).
+NAMED_SCHEMES: Mapping[str, NamedScheme] = {
+    "logtm-se": NamedScheme("undo", "eager", "logtm-se", ("logtmse", "logtm")),
+    "fastm": NamedScheme("flash", "eager", "fastm"),
+    "suv": NamedScheme("redirect", "eager", "suv"),
+    "lazy": NamedScheme("buffer", "eager", "lazy"),
+    "dyntm": NamedScheme("flash", "adaptive", "dyntm+fastm"),
+    "dyntm+suv": NamedScheme(
+        "redirect", "adaptive", "dyntm+suv", ("dyntm-suv",)
+    ),
+    "mvsuv": NamedScheme("mvsuv", "eager", "mvsuv"),
 }
 
 
@@ -274,47 +290,20 @@ def legal_combinations() -> tuple[SchemeComposition, ...]:
 
 
 # ---------------------------------------------------------------------------
-# conflict-detection policies (the ``cd`` axis)
+# conflict detection (the ``cd`` axis)
 # ---------------------------------------------------------------------------
+# ``eager`` and ``lazy`` detection need no policy object: a carrier VM
+# whose ``cd_axis`` is ``lazy`` runs every frame in lazy mode
+# (:meth:`~repro.htm.vm.base.VersionManager.mode_for`).  Only adaptive
+# detection chooses per attempt.
 
-class ConflictDetection(ABC):
-    """When conflicts are detected: chooses each attempt's execution mode."""
-
-    name: ClassVar[str] = "abstract"
-
-    @abstractmethod
-    def mode_for(self, site: int) -> str:
-        """``"eager"`` or ``"lazy"`` for a new outermost attempt at ``site``."""
-
-    def note_outcome(self, frame: "TxFrame", committed: bool) -> None:
-        """Outcome feedback (only the adaptive policy learns from it)."""
-
-
-class EagerCD(ConflictDetection):
-    """Detect on every access via coherence + signatures (LogTM-style)."""
-
-    name = "eager"
-
-    def mode_for(self, site: int) -> str:
-        return "eager"
-
-
-class LazyCD(ConflictDetection):
-    """Stay invisible until a validating, arbitrated commit (TCC-style)."""
-
-    name = "lazy"
-
-    def mode_for(self, site: int) -> str:
-        return "lazy"
-
-
-class AdaptiveCD(ConflictDetection):
+class AdaptiveCD:
     """DynTM's history-based per-site eager/lazy selector.
 
     One saturating counter per static transaction site drifts toward
     lazy when eager attempts keep aborting and back toward eager when
-    lazy runs overflow the L1 or pay heavy commit merges — the exact
-    update rules of :class:`~repro.htm.vm.dyntm.DynTM`.
+    lazy runs overflow the L1 or pay heavy commit merges (the update
+    rules of DynTM, Lupon MICRO'10).
     """
 
     name = "adaptive"
@@ -325,11 +314,13 @@ class AdaptiveCD(ConflictDetection):
         self._threshold = lazy_threshold
 
     def mode_for(self, site: int) -> str:
+        """``"eager"`` or ``"lazy"`` for a new outermost attempt at ``site``."""
         if self._counters.get(site, 0) >= self._threshold:
             return "lazy"
         return "eager"
 
     def note_outcome(self, frame: "TxFrame", committed: bool) -> None:
+        """Learn from one finished attempt of ``frame``'s site."""
         site = frame.site
         c = self._counters.get(site, 0)
         if frame.mode == "eager":
@@ -343,22 +334,6 @@ class AdaptiveCD(ConflictDetection):
             elif committed and len(frame.vm.get("spec_lines", ())) > 32:
                 # heavy merge: eager would commit for free
                 self._counters[site] = max(0, c - 1)
-
-
-def make_conflict_detection(
-    name: str, counter_bits: int = 2, lazy_threshold: int = 2
-) -> ConflictDetection:
-    """Build a conflict-detection policy by axis value."""
-    if name == "eager":
-        return EagerCD()
-    if name == "lazy":
-        return LazyCD()
-    if name == "adaptive":
-        return AdaptiveCD(counter_bits, lazy_threshold)
-    raise UnknownSchemeError(
-        f"unknown conflict-detection policy {name!r}",
-        name=name, suggestions=CD_AXIS,
-    )
 
 
 # ---------------------------------------------------------------------------

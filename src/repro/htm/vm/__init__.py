@@ -7,24 +7,26 @@
 * :class:`~repro.htm.vm.suv.SUV` — the paper's contribution: every
   transactional store redirected through the redirect table; commit and
   abort are bit flips.
-* :class:`~repro.htm.vm.lazy.LazyVM` — redo-in-L1 lazy VM used as
-  DynTM's lazy execution mode (exhibits the merge pathology).
-* :class:`~repro.htm.vm.dyntm.DynTM` — history-based eager/lazy mode
-  selector over a pluggable eager VM (FasTM = original DynTM,
-  SUV = the paper's DynTM+SUV).
-* :class:`~repro.htm.vm.composed.ComposedVM` — any legal point of the
-  four-axis policy space (:mod:`repro.htm.policy`), assembled from the
-  canonical VMs plus the conflict-detection policy objects.
+* :class:`~repro.htm.vm.lazy.LazyVM` — redo-in-L1 lazy VM, DynTM's lazy
+  execution mode (exhibits the merge pathology).
+* :class:`~repro.htm.vm.composed.RedirectLazyVM` — SUV placement under
+  lazy conflict detection.
+* :class:`~repro.htm.vm.composed.AdaptiveVM` — adaptive conflict
+  detection: DynTM's history-based eager/lazy mode selector over an
+  eager carrier and a LazyVM (FasTM = original DynTM, SUV = the paper's
+  DynTM+SUV).
 
-Scheme lookup goes through :func:`get_scheme` /
-:func:`make_version_manager`, which accept registered names
-(``"suv"``) and composed four-axis names
-(``"redirect+lazy+stall+serial"``, see :func:`compose_scheme`) alike.
+Every scheme name — a named scheme (``"suv"``, see
+:data:`~repro.htm.policy.NAMED_SCHEMES`) or a composed four-axis name
+(``"redirect+lazy+stall+serial"``, see :func:`compose_scheme`) —
+resolves to one checked composition (:func:`resolve_scheme`), which
+:func:`build_version_manager` turns into a VM;
+:func:`make_version_manager` does both.
 """
 
 from repro.htm.policy import (
+    AdaptiveCD,
     CommitArbitration,
-    ConflictDetection,
     ConflictResolution,
     SchemeComposition,
     compose_scheme,
@@ -33,27 +35,25 @@ from repro.htm.policy import (
 from repro.htm.vm.base import (
     VersionManager,
     available_schemes,
-    get_scheme,
-    make_version_manager,
-    register_scheme,
+    resolve_scheme,
     resolve_scheme_name,
 )
-
-# scheme modules in registration (= listing) order: baseline first,
-# the paper's contribution third, matching the figures
 from repro.htm.vm.logtm_se import LogTMSE
 from repro.htm.vm.fastm import FasTM
 from repro.htm.vm.suv import SUV
 from repro.htm.vm.lazy import LazyVM
-from repro.htm.vm.dyntm import DynTM
-from repro.htm.vm.composed import ComposedVM, RedirectLazyVM
+from repro.htm.vm.composed import (
+    AdaptiveVM,
+    RedirectLazyVM,
+    build_version_manager,
+    make_version_manager,
+)
 
 __all__ = [
+    "AdaptiveCD",
+    "AdaptiveVM",
     "CommitArbitration",
-    "ComposedVM",
-    "ConflictDetection",
     "ConflictResolution",
-    "DynTM",
     "FasTM",
     "LazyVM",
     "LogTMSE",
@@ -62,10 +62,10 @@ __all__ = [
     "SchemeComposition",
     "VersionManager",
     "available_schemes",
+    "build_version_manager",
     "compose_scheme",
-    "get_scheme",
     "legal_combinations",
     "make_version_manager",
-    "register_scheme",
+    "resolve_scheme",
     "resolve_scheme_name",
 ]

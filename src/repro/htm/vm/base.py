@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.config import SimConfig
+from repro.config import HTMConfig, SimConfig
 from repro.errors import UnknownSchemeError
+from repro.htm.policy import NAMED_SCHEMES, SchemeComposition
 from repro.htm.transaction import TxFrame
 from repro.mem.hierarchy import AccessResult, MemoryHierarchy
 from repro.trace import Tracer
@@ -63,10 +63,11 @@ class VersionManager(ABC):
     """Scheme hook interface; one instance serves every core."""
 
     name: str = "abstract"
-    #: policy-axis labels (see :mod:`repro.htm.policy`): which
-    #: version-management and conflict-detection axis values this class
-    #: realizes.  Canonical schemes pin them; third-party schemes that
-    #: don't fit the axis taxonomy keep the ``custom`` default.
+    #: policy-axis values (see :mod:`repro.htm.policy`): which
+    #: version-management and conflict-detection axis values this
+    #: instance realizes.  The scheme builder sets ``cd_axis`` on
+    #: carriers that serve more than one (``LazyVM``: ``buffer+eager``
+    #: and ``buffer+lazy``).
     vm_axis: str = "custom"
     cd_axis: str = "eager"
 
@@ -151,11 +152,14 @@ class VersionManager(ABC):
         return False
 
     def mode_for(self, core: int, site: int) -> str:
-        """Execution mode for a new outermost transaction (DynTM hook)."""
-        return "eager"
+        """Execution mode for a new outermost transaction.
+
+        Fixed by the cd axis; adaptive detection overrides it.
+        """
+        return "lazy" if self.cd_axis == "lazy" else "eager"
 
     def note_outcome(self, core: int, frame: TxFrame, committed: bool) -> None:
-        """Feedback to history-based predictors (DynTM hook)."""
+        """Feedback to history-based predictors (adaptive detection)."""
 
     def merge_nested(self, parent: TxFrame, child: TxFrame) -> None:
         """Fold scheme-private child-frame state into the parent."""
@@ -210,150 +214,76 @@ class VersionManager(ABC):
 
 
 # ======================================================================
-# scheme registry
+# scheme names
 # ======================================================================
 
-#: a factory building one VersionManager for a (config, hierarchy) pair —
-#: either a VersionManager subclass or a plain function
-SchemeFactory = Callable[[SimConfig, MemoryHierarchy], VersionManager]
-
-#: canonical name -> factory, in registration order (drives CLI listings)
-_SCHEME_REGISTRY: dict[str, SchemeFactory] = {}
-#: normalized alias -> canonical name
-_SCHEME_ALIASES: dict[str, str] = {}
+#: every spelling of a named scheme (normalized) -> its name
+_SPELLINGS: dict[str, str] = {
+    spelling: name
+    for name, row in NAMED_SCHEMES.items()
+    for spelling in (name, *row.aliases)
+}
 
 
 def _normalize_scheme_name(name: str) -> str:
     return name.lower().replace("_", "-")
 
 
-def register_scheme(name: str, *aliases: str):
-    """Class/function decorator adding a scheme to the registry.
-
-    ``@register_scheme("suv")`` on a :class:`VersionManager` subclass (or
-    on a ``(config, hierarchy) -> VersionManager`` factory) makes
-    ``make_version_manager("suv", ...)`` build it and lists it in
-    :func:`available_schemes`.  Extra ``aliases`` resolve to the same
-    factory but are not listed.
-    """
-
-    def decorate(factory: SchemeFactory) -> SchemeFactory:
-        canonical = _normalize_scheme_name(name)
-        if canonical in _SCHEME_REGISTRY:
-            raise ValueError(f"scheme {canonical!r} is already registered")
-        _SCHEME_REGISTRY[canonical] = factory
-        for alias in (name, *aliases):
-            key = _normalize_scheme_name(alias)
-            existing = _SCHEME_ALIASES.get(key)
-            if existing is not None and existing != canonical:
-                raise ValueError(
-                    f"alias {key!r} already points at scheme {existing!r}"
-                )
-            _SCHEME_ALIASES[key] = canonical
-        return factory
-
-    return decorate
-
-
-def _ensure_builtin_schemes() -> None:
-    """Import the bundled scheme modules so their decorators have run.
-
-    The import order fixes the registration (and therefore listing)
-    order: baseline first, the paper's contribution third, as in the
-    figures.
-    """
-    import repro.htm.vm.logtm_se  # noqa: F401
-    import repro.htm.vm.fastm  # noqa: F401
-    import repro.htm.vm.suv  # noqa: F401
-    import repro.htm.vm.lazy  # noqa: F401
-    import repro.htm.vm.dyntm  # noqa: F401
-    import repro.htm.vm.mvsuv  # noqa: F401
-
-
 def available_schemes() -> tuple[str, ...]:
-    """Canonical names of every registered scheme, in registration order.
+    """The named schemes, in listing order.
 
     Lists the *named* schemes only; the composed four-axis space
     (``vm+cd+resolution+arbitration`` names, see
     :func:`repro.htm.policy.legal_combinations`) is enumerated
     separately so existing listings stay stable.
     """
-    _ensure_builtin_schemes()
-    return tuple(_SCHEME_REGISTRY)
+    return tuple(NAMED_SCHEMES)
 
 
 def resolve_scheme_name(name: str) -> str:
-    """Canonicalize a scheme name: a registered alias or a composed name.
+    """Canonicalize a scheme name: a named scheme's spelling or a composed name.
 
-    Registered aliases win (so ``dyntm+suv`` stays the canonical DynTM
-    variant, not a composition); otherwise a four-token
+    Named schemes win (so ``dyntm+suv`` stays the named DynTM variant,
+    not a composition); otherwise a four-token
     ``vm+cd+resolution+arbitration`` name is legality-checked and
     canonicalized.  Raises :class:`~repro.errors.UnknownSchemeError`
     with near-miss suggestions, or
     :class:`~repro.errors.IncompatiblePolicyError` for a well-formed
     but physically impossible composition.
     """
-    _ensure_builtin_schemes()
-    canonical = _SCHEME_ALIASES.get(_normalize_scheme_name(name))
-    if canonical is not None:
-        return canonical
-    from repro.htm.policy import SchemeComposition
-
+    named = _SPELLINGS.get(_normalize_scheme_name(name))
+    if named is not None:
+        return named
     composition = SchemeComposition.parse(name)
     if composition is not None:
         return composition.check().name
     import difflib
 
-    registered = available_schemes()
     suggestions = difflib.get_close_matches(
-        _normalize_scheme_name(name), sorted(_SCHEME_ALIASES), n=3, cutoff=0.6
+        _normalize_scheme_name(name), sorted(_SPELLINGS), n=3, cutoff=0.6
     )
     raise UnknownSchemeError(
         f"unknown version-management scheme {name!r}; "
-        f"registered: {', '.join(registered)} "
+        f"named schemes: {', '.join(available_schemes())} "
         "(or a composed vm+cd+resolution+arbitration name)",
         name=name,
-        suggestions=[_SCHEME_ALIASES.get(s, s) for s in suggestions],
+        suggestions=[_SPELLINGS[s] for s in suggestions],
     )
 
 
-def get_scheme(name: str) -> SchemeFactory:
-    """The factory behind a scheme name (registered or composed).
+def resolve_scheme(name: str, htm: HTMConfig) -> tuple[str, SchemeComposition]:
+    """(the name results report, the checked composition) of a scheme name.
 
-    The public lookup of the registry: resolves aliases and composed
-    four-axis names alike, raising typed
-    :class:`~repro.errors.UnknownSchemeError` /
-    :class:`~repro.errors.IncompatiblePolicyError` instead of a bare
-    ``KeyError`` on a miss.
+    A composed name pins all four axes.  A named scheme pins vm and cd
+    and takes resolution and arbitration from ``htm``; the result passes
+    the same legality check as its composed spelling, so ``suv`` under
+    ``width2`` raises :class:`~repro.errors.IncompatiblePolicyError`
+    exactly as ``redirect+eager+stall+width2`` does.
     """
     canonical = resolve_scheme_name(name)
-    factory = _SCHEME_REGISTRY.get(canonical)
-    if factory is not None:
-        return factory
-    from repro.htm.policy import SchemeComposition
-    from repro.htm.vm.composed import build_composed
-
-    composition = SchemeComposition.from_value(canonical)
-
-    def _factory(
-        config: SimConfig, hierarchy: MemoryHierarchy,
-        composition: "SchemeComposition" = composition,
-    ) -> VersionManager:
-        return build_composed(composition, config, hierarchy)
-
-    return _factory
-
-
-def make_version_manager(
-    name: str, config: SimConfig, hierarchy: MemoryHierarchy
-) -> VersionManager:
-    """Factory by scheme name.
-
-    Bundled names: ``logtm-se``, ``fastm``, ``suv``, ``lazy``,
-    ``dyntm`` (original, FasTM-based) and ``dyntm+suv``; more can be
-    added with :func:`register_scheme`.  Composed four-axis names
-    (``redirect+lazy+stall+serial``; see
-    :func:`repro.htm.policy.compose_scheme`) build a
-    :class:`~repro.htm.vm.composed.ComposedVM`.
-    """
-    return get_scheme(name)(config, hierarchy)
+    row = NAMED_SCHEMES.get(canonical)
+    if row is None:
+        return canonical, SchemeComposition.from_value(canonical)
+    return row.reports, SchemeComposition(
+        row.vm, row.cd, htm.resolution, htm.arbitration
+    ).check()

@@ -1,13 +1,12 @@
 """Version managers assembled from policy axes (see :mod:`repro.htm.policy`).
 
-:class:`ComposedVM` is the runtime shape of a composed scheme name like
-``redirect+lazy+stall+serial``: a thin mode-dispatching wrapper (the
-same delegation pattern as :class:`~repro.htm.vm.dyntm.DynTM`) around
-one carrier VM per execution mode, with the conflict-detection policy
-choosing the mode per attempt.  The resolution and arbitration axes are
-not resolved here — the simulator reads them off
-:attr:`ComposedVM.composition` and instantiates the matching policy
-objects from :mod:`repro.htm.policy`.
+:func:`build_version_manager` is the one builder behind every scheme
+name: a checked :class:`~repro.htm.policy.SchemeComposition` becomes a
+bare carrier VM under eager or lazy detection, and an
+:class:`AdaptiveVM` only under adaptive detection, the one cd value
+that switches mode per attempt.  The resolution and arbitration axes
+are not built here — the simulator reads them off the composition and
+instantiates the matching policy objects from :mod:`repro.htm.policy`.
 
 :class:`RedirectLazyVM` is the novel hybrid the decomposition unlocks:
 SUV's redirect placement under *lazy* conflict detection.  Writes go to
@@ -23,12 +22,9 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.core.redirect_entry import EntryState, RedirectEntry
-from repro.htm.policy import (
-    SchemeComposition,
-    make_conflict_detection,
-)
+from repro.htm.policy import AdaptiveCD, SchemeComposition
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager
+from repro.htm.vm.base import VersionManager, resolve_scheme
 from repro.htm.vm.fastm import FasTM
 from repro.htm.vm.lazy import LazyVM
 from repro.htm.vm.logtm_se import LogTMSE
@@ -170,105 +166,58 @@ _EAGER_CARRIERS: dict[str, type[VersionManager]] = {
     "mvsuv": MVSUV,
 }
 
-#: simulator-facing multiversion hooks a carrier may provide; the
-#: wrapper re-exports them so ``getattr(scheme, hook)`` finds them on a
-#: composed scheme exactly as on the bare carrier
-_SNAPSHOT_HOOKS = (
-    "snapshot_mode_for", "snapshot_read", "current_seq",
-    "note_publication", "note_nontx_write", "note_snapshot_violation",
-    "version_pool_lines",
-)
 
+class AdaptiveVM(VersionManager):
+    """Adaptive conflict detection: DynTM's per-site eager/lazy switch.
 
-class ComposedVM(VersionManager):
-    """A version manager assembled from a :class:`SchemeComposition`.
-
-    Wraps at most two carrier VMs — one for eager-mode frames, one for
-    lazy-mode frames — and lets the conflict-detection policy pick the
-    mode per outermost attempt.  With ``cd=eager`` or ``cd=lazy`` a
-    single carrier exists and every frame runs through it; ``adaptive``
-    mirrors :class:`~repro.htm.vm.dyntm.DynTM` (eager carrier by the
-    ``vm`` axis, :class:`LazyVM` with redirect publication when the vm
-    axis is ``redirect``).
+    Wraps an eager carrier (chosen by the vm axis) and a
+    :class:`~repro.htm.vm.lazy.LazyVM` (publishing by redirect when the
+    vm axis is ``redirect``), and lets :class:`~repro.htm.policy.
+    AdaptiveCD` pick each outermost attempt's mode.  ``dyntm`` is
+    ``flash+adaptive`` (the original DynTM, Figure 9 D) and
+    ``dyntm+suv`` is ``redirect+adaptive`` (Figure 9 D+S), which also
+    cheapens the lazy commit: publication is an invalidation round trip
+    instead of a per-line data merge.
     """
 
+    cd_axis = "adaptive"
+
     def __init__(
-        self,
-        config: SimConfig,
-        hierarchy: MemoryHierarchy,
-        composition: SchemeComposition,
+        self, config: SimConfig, hierarchy: MemoryHierarchy, vm: str
     ) -> None:
         super().__init__(config, hierarchy)
-        composition.check()
-        self.composition = composition
-        self.name = composition.name
-        self.vm_axis = composition.vm
-        self.cd_axis = composition.cd
-        self._cd = make_conflict_detection(
-            composition.cd,
-            counter_bits=config.dyntm.counter_bits,
-            lazy_threshold=config.dyntm.lazy_threshold,
+        self.vm_axis = vm
+        self._cd = AdaptiveCD(
+            config.dyntm.counter_bits, config.dyntm.lazy_threshold
         )
-        self._eager: VersionManager | None = None
-        self._lazy: VersionManager | None = None
-        if composition.cd == "lazy":
-            if composition.vm == "redirect":
-                self._lazy = RedirectLazyVM(config, hierarchy)
-            else:  # "buffer" (the only other legal lazy placement)
-                self._lazy = LazyVM(config, hierarchy)
-        else:
-            self._eager = _EAGER_CARRIERS[composition.vm](config, hierarchy)
-            if composition.cd == "adaptive":
-                self._lazy = LazyVM(
-                    config, hierarchy,
-                    publish_by_redirect=(composition.vm == "redirect"),
-                )
-        #: the version clock, when any carrier validates against one —
-        #: the simulator bumps it per committed written line
-        for carrier in (self._lazy, self._eager):
-            versions = getattr(carrier, "line_versions", None)
-            if versions is not None:
-                self.line_versions: dict[int, int] = versions
-                break
-        # re-export the multiversion snapshot hooks of an mvsuv carrier
-        # (bound methods), so the simulator's getattr probes see them
-        for carrier in (self._eager, self._lazy):
-            if carrier is None:
-                continue
-            for hook in _SNAPSHOT_HOOKS:
-                fn = getattr(carrier, hook, None)
-                if fn is not None and not hasattr(self, hook):
-                    setattr(self, hook, fn)
-        if self._cd.name == "adaptive":
-            self.stats.extra.update(eager_attempts=0, lazy_attempts=0)
+        self.eager: VersionManager = _EAGER_CARRIERS[vm](config, hierarchy)
+        self.lazy = LazyVM(
+            config, hierarchy, publish_by_redirect=(vm == "redirect")
+        )
+        #: the lazy carrier's version clock — the simulator bumps it per
+        #: committed written line
+        self.line_versions = self.lazy.line_versions
+        self.stats.extra.update(eager_attempts=0, lazy_attempts=0)
 
     def attach_trace(self, tracer: Tracer) -> None:
         super().attach_trace(tracer)
-        for carrier in (self._eager, self._lazy):
-            if carrier is not None:
-                carrier.attach_trace(tracer)
+        # the carriers emit their own events (FLASH_ABORT, PUBLISH,
+        # table traffic); without this they would stay silent
+        self.eager.attach_trace(tracer)
+        self.lazy.attach_trace(tracer)
 
     # -- mode selection (the cd axis) -----------------------------------
     def mode_for(self, core: int, site: int) -> str:
         mode = self._cd.mode_for(site)
-        if self._cd.name == "adaptive":
-            self.stats.extra[f"{mode}_attempts"] += 1
+        self.stats.extra[f"{mode}_attempts"] += 1
         return mode
 
     def note_outcome(self, core: int, frame: TxFrame, committed: bool) -> None:
         self._cd.note_outcome(frame, committed)
-        # carriers with their own outcome feedback (mvsuv's read-only
-        # site detection) hear it too; the canonical carriers inherit
-        # the base no-op, so this is behaviour-neutral for them
-        self._vm(frame).note_outcome(core, frame, committed)
 
     # -- delegation (the vm axis) ---------------------------------------
     def _vm(self, frame: TxFrame) -> VersionManager:
-        carrier = self._lazy if frame.mode == "lazy" else self._eager
-        if carrier is None:  # single-carrier composition: every frame fits
-            carrier = self._eager if self._eager is not None else self._lazy
-        assert carrier is not None
-        return carrier
+        return self.lazy if frame.mode == "lazy" else self.eager
 
     def on_begin(self, core: int, frame: TxFrame) -> int:
         return self._vm(frame).on_begin(core, frame)
@@ -297,20 +246,11 @@ class ComposedVM(VersionManager):
         self._vm(parent).merge_nested(parent, child)
 
     def nontx_translate(self, core: int, line: int) -> tuple[int, int]:
-        carrier = self._eager if self._eager is not None else self._lazy
-        assert carrier is not None
-        return carrier.nontx_translate(core, line)
+        return self.eager.nontx_translate(core, line)
 
     # -- per-frame placement decisions ----------------------------------
     def wants_speculative_marking(self) -> bool:
-        carrier = self._eager if self._eager is not None else self._lazy
-        assert carrier is not None
-        return carrier.wants_speculative_marking()
-
-    def uses_local_writes(self) -> bool:
-        carrier = self._eager if self._eager is not None else self._lazy
-        assert carrier is not None
-        return carrier.uses_local_writes()
+        return self.eager.wants_speculative_marking()
 
     def speculative_for(self, frame: TxFrame) -> bool:
         return self._vm(frame).wants_speculative_marking()
@@ -320,26 +260,40 @@ class ComposedVM(VersionManager):
 
     def scheme_stats(self) -> dict[str, float]:
         out = super().scheme_stats()
-        if self._eager is not None and self._lazy is not None:
-            out.update(
-                {f"eager_{k}": v for k, v in self._eager.scheme_stats().items()}
-            )
-            out.update(
-                {f"lazy_{k}": v for k, v in self._lazy.scheme_stats().items()}
-            )
-        else:
-            # single carrier: it counted everything, so its view wins
-            # (the wrapper's own counters never tick)
-            carrier = self._eager if self._eager is not None else self._lazy
-            assert carrier is not None
-            out.update(carrier.scheme_stats())
+        out.update({f"eager_{k}": v for k, v in self.eager.scheme_stats().items()})
+        out.update({f"lazy_{k}": v for k, v in self.lazy.scheme_stats().items()})
         return out
 
 
-def build_composed(
+def build_version_manager(
     composition: SchemeComposition,
     config: SimConfig,
     hierarchy: MemoryHierarchy,
-) -> ComposedVM:
-    """Factory used by the registry for composed scheme names."""
-    return ComposedVM(config, hierarchy, composition)
+    name: str,
+) -> VersionManager:
+    """The VM of a checked composition, reporting ``name`` in results.
+
+    Eager detection builds the vm axis's carrier, lazy detection
+    :class:`RedirectLazyVM` or :class:`~repro.htm.vm.lazy.LazyVM`
+    (whose ``cd_axis`` then makes every frame lazy), adaptive detection
+    the :class:`AdaptiveVM` wrapper.
+    """
+    vm, cd = composition.vm, composition.cd
+    if cd == "adaptive":
+        scheme: VersionManager = AdaptiveVM(config, hierarchy, vm)
+    elif cd == "lazy":
+        lazy_carrier = RedirectLazyVM if vm == "redirect" else LazyVM
+        scheme = lazy_carrier(config, hierarchy)
+    else:
+        scheme = _EAGER_CARRIERS[vm](config, hierarchy)
+    scheme.name = name
+    scheme.cd_axis = cd
+    return scheme
+
+
+def make_version_manager(
+    name: str, config: SimConfig, hierarchy: MemoryHierarchy
+) -> VersionManager:
+    """Build a scheme by name (named or composed) under ``config.htm``."""
+    reported, composition = resolve_scheme(name, config.htm)
+    return build_version_manager(composition, config, hierarchy, reported)

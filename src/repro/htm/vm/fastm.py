@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager, register_scheme
+from repro.htm.vm.base import VersionManager
 from repro.mem.hierarchy import AccessResult, MemoryHierarchy
 from repro.trace import FLASH_ABORT
 
 
-@register_scheme("fastm")
 class FasTM(VersionManager):
     """L1-pinned eager VM with per-line LogTM-SE fallback on overflow."""
 

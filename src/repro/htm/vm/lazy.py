@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager, register_scheme
+from repro.htm.vm.base import VersionManager
 from repro.mem.hierarchy import AccessResult, MemoryHierarchy
 from repro.trace import PUBLISH
 
 
-@register_scheme("lazy")
 class LazyVM(VersionManager):
     """Redo-in-L1 lazy version manager (DynTM's lazy mode)."""
 
@@ -47,7 +46,7 @@ class LazyVM(VersionManager):
         #: invalidation only, without data movement.
         self.publish_by_redirect = publish_by_redirect
         #: global line-version clock, shared with the simulator (and the
-        #: wrapping DynTM) for commit-time read-set validation.
+        #: adaptive wrapper) for commit-time read-set validation.
         self.line_versions: dict[int, int] = {}
         self.stats.extra.update(
             validation_failures=0, lazy_overflows=0, published_lines=0

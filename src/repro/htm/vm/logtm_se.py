@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager, register_scheme
+from repro.htm.vm.base import VersionManager
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import LOG_WALK
 
 
-@register_scheme("logtm-se", "logtmse", "logtm")
 class LogTMSE(VersionManager):
     """Undo-log eager VM (LogTM-SE, Yen et al. HPCA'07)."""
 

@@ -37,13 +37,11 @@ from repro.config import LINE_SHIFT, SimConfig
 from repro.core.version_chain import VersionChain
 from repro.errors import PoolExhausted
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import register_scheme
 from repro.htm.vm.suv import SUV
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import VERSION_ALLOC, VERSION_GC, VERSION_READ
 
 
-@register_scheme("mvsuv")
 class MVSUV(SUV):
     """SUV plus bounded multiversioning and snapshot readers."""
 

@@ -31,7 +31,7 @@ from repro.core.redirect_entry import EntryState, RedirectEntry
 from repro.core.redirect_table import RedirectTable
 from repro.core.summary import RedirectSummaryFilter
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager, register_scheme
+from repro.htm.vm.base import VersionManager
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import (
     POOL_ALLOC,
@@ -43,7 +43,6 @@ from repro.trace import (
 )
 
 
-@register_scheme("suv")
 class SUV(VersionManager):
     """The single-update version manager (SUV-TM, eager mode)."""
 

@@ -32,7 +32,7 @@ from repro.errors import IncompatiblePolicyError
 from repro.htm.policy import SchemeComposition
 
 #: bump when the spec encoding changes, so stale cache entries never match
-SPEC_FORMAT_VERSION = 3
+SPEC_FORMAT_VERSION = 4
 
 _SCALES = ("tiny", "small", "full")
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -65,7 +65,7 @@ class ExperimentSpec:
     """
 
     workload: str
-    #: a registered scheme name (``"suv"``), a composed four-axis name
+    #: a named scheme (``"suv"``), a composed four-axis name
     #: (``"redirect+lazy+stall+serial"``), or an axes mapping
     #: (``{"vm": "redirect", "cd": "lazy"}``); mappings and composed
     #: names normalize to the canonical composed spelling
@@ -74,11 +74,9 @@ class ExperimentSpec:
     seed: int = 3
     cores: int = 16
     threads: int = 0  # 0 = one software thread per core
-    #: deprecated spelling of :attr:`resolution` (kept for old specs)
-    policy: str = ""
-    #: conflict-resolution axis for registered (non-composed) schemes
+    #: conflict-resolution axis; a composed scheme name fills it in
     resolution: str = "stall"
-    #: commit-arbitration axis for registered (non-composed) schemes
+    #: commit-arbitration axis; a composed scheme name fills it in
     arbitration: str = "serial"
     stagger: int = 512
     verify: bool = True
@@ -97,33 +95,23 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.scale not in _SCALES:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {_SCALES}")
-        scheme = self.scheme
-        if isinstance(scheme, Mapping):
-            scheme = SchemeComposition.from_value(scheme).name
+        if isinstance(self.scheme, Mapping):
+            comp = SchemeComposition.from_value(self.scheme)
         else:
-            comp = SchemeComposition.parse(scheme)
-            if comp is not None:
-                scheme = comp.check().name
-        object.__setattr__(self, "scheme", scheme)
-        if self.policy:
-            import warnings
-
-            mapped = (
-                "abort_requester" if self.policy == "abort" else self.policy
-            )
-            warnings.warn(
-                f"ExperimentSpec(policy={self.policy!r}) is deprecated; "
-                f"use resolution={mapped!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.resolution not in ("", "stall", mapped):
-                raise ValueError(
-                    f"conflicting policy={self.policy!r} and "
-                    f"resolution={self.resolution!r}"
-                )
-            object.__setattr__(self, "resolution", mapped)
-            object.__setattr__(self, "policy", "")
+            comp = SchemeComposition.parse(self.scheme)
+        if comp is not None:
+            # a composed name pins both axes: one run, one spec (and hash)
+            comp.check()
+            for axis in ("resolution", "arbitration"):
+                given, pinned = getattr(self, axis), getattr(comp, axis)
+                default = self.__dataclass_fields__[axis].default
+                if given not in (default, pinned):
+                    raise ValueError(
+                        f"conflicting {axis}={given!r} and scheme "
+                        f"{comp.name!r}, which pins {axis}={pinned!r}"
+                    )
+                object.__setattr__(self, axis, pinned)
+            object.__setattr__(self, "scheme", comp.name)
         object.__setattr__(
             self,
             "config_overrides",
@@ -220,7 +208,7 @@ class RunMatrix:
     paper's figures iterate in.  ``overrides`` is an axis of override
     *sets*: each entry is one ``config_overrides`` mapping.
 
-    Two ways to pick schemes: ``schemes`` names registered schemes
+    Two ways to pick schemes: ``schemes`` lists scheme names
     directly, while the per-axis lists ``vms``/``cds`` (with
     ``resolutions``/``arbitrations``) sweep the composed policy space —
     setting either replaces the ``schemes`` axis with the *legal* subset

@@ -50,7 +50,8 @@ from repro.htm.policy import (
     make_resolution,
 )
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import VersionManager, make_version_manager
+from repro.htm.vm.base import VersionManager, resolve_scheme
+from repro.htm.vm.composed import build_version_manager
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.oracle import OracleRecorder
 from repro.signatures.hashes import H3HashFamily
@@ -271,7 +272,7 @@ class Simulator:
     def __init__(
         self,
         config: SimConfig | None = None,
-        scheme: str | VersionManager = "suv",
+        scheme: str = "suv",
         seed: int = 12345,
         faults: FaultPlan | FaultInjector | None = None,
         oracle: OracleRecorder | bool | None = None,
@@ -282,10 +283,12 @@ class Simulator:
         self.rng = RngStreams(seed)
         self.hierarchy = MemoryHierarchy(self.config)
         self.memory = self.hierarchy.memory
-        if isinstance(scheme, VersionManager):
-            self.scheme = scheme
-        else:
-            self.scheme = make_version_manager(scheme, self.config, self.hierarchy)
+        #: the scheme's checked composition pins all four policy axes (a
+        #: named scheme takes resolution and arbitration from HTMConfig)
+        name, composition = resolve_scheme(scheme, self.config.htm)
+        self.scheme: VersionManager = build_version_manager(
+            composition, self.config, self.hierarchy, name
+        )
         #: phase accounting is always on; event recording only when asked
         #: (``trace=True``, a capacity, or a ready Tracer)
         self.trace = make_tracer(trace)
@@ -316,30 +319,18 @@ class Simulator:
             self.scheme, "note_snapshot_violation", None
         )
         self._has_snapshot = self._snapshot_read is not None
-        #: the scheme's composition pins the resolution/arbitration axes;
-        #: canonical (single-name) schemes take them from HTMConfig
-        composition = getattr(self.scheme, "composition", None)
-        resolution_name = (
-            composition.resolution if composition is not None
-            else self.config.htm.resolution
+        self._resolution: ConflictResolution = make_resolution(
+            composition.resolution
         )
-        arbitration_name = (
-            composition.arbitration if composition is not None
-            else self.config.htm.arbitration
-        )
-        self._resolution: ConflictResolution = make_resolution(resolution_name)
         #: lazy-commit arbitration (TCC-style serial token by default):
         #: bounds how many lazy transactions may be between validation
         #: and publication, so a committer's validation stays current.
-        self._arbitration: CommitArbitration = make_arbitration(arbitration_name)
+        self._arbitration: CommitArbitration = make_arbitration(
+            composition.arbitration
+        )
         #: the run's axis labels, attached to SimResult, the phase
         #: breakdown, and the trace metadata
-        self.policy_axes: dict[str, str] = {
-            "vm": getattr(self.scheme, "vm_axis", "custom"),
-            "cd": getattr(self.scheme, "cd_axis", "eager"),
-            "resolution": self._resolution.name,
-            "arbitration": self._arbitration.name,
-        }
+        self.policy_axes: dict[str, str] = composition.as_dict()
         self.trace.labels.update(self.policy_axes)
         self._stall_period = self.config.htm.stall_retry_period
         if faults is not None and not isinstance(faults, FaultInjector):

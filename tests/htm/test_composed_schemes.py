@@ -127,6 +127,26 @@ def test_canonical_scheme_honours_config_resolution_and_arbitration():
     # HTMConfig, so specs can sweep them without composed names
     res = _run("suv", resolution="timestamp")
     assert res.policy_axes["resolution"] == "timestamp"
-    lazy = _run("lazy", arbitration="width2")
-    assert lazy.policy_axes["arbitration"] == "width2"
-    assert lazy.commits > 0
+    wide = _run("dyntm+suv", arbitration="width2")
+    assert wide.policy_axes["arbitration"] == "width2"
+    assert wide.commits > 0
+    # a named scheme passes its composed spelling's legality check:
+    # buffer+eager commits never arbitrate, so a width is refused
+    with pytest.raises(IncompatiblePolicyError):
+        _run("lazy", arbitration="width2")
+
+
+def test_composed_name_fills_the_spec_axes():
+    # one run, one spec: the direct spec and the matrix spec hash equal
+    direct = ExperimentSpec("ssca2", scheme="redirect+lazy+stall+width2")
+    assert direct.arbitration == "width2"
+    (matrix,) = RunMatrix(
+        workloads=("ssca2",), schemes=("redirect+lazy+stall+width2",)
+    ).specs()
+    assert matrix.spec_hash() == direct.spec_hash()
+    # a spec must not claim an axis value its scheme does not run
+    with pytest.raises(ValueError, match="resolution"):
+        ExperimentSpec(
+            "ssca2", scheme="redirect+lazy+stall+serial",
+            resolution="timestamp",
+        )

@@ -1,4 +1,4 @@
-"""The four-axis policy decomposition: legality, parsing, registry, shims."""
+"""The four-axis policy decomposition: legality, parsing, scheme names."""
 
 import dataclasses
 
@@ -8,8 +8,8 @@ from repro.config import HTMConfig, SimConfig
 from repro.errors import IncompatiblePolicyError, UnknownSchemeError
 from repro.htm.policy import (
     ARBITRATION_AXIS,
-    CANONICAL_AXES,
     CD_AXIS,
+    NAMED_SCHEMES,
     RESOLUTION_AXIS,
     VM_AXIS,
     SchemeComposition,
@@ -18,9 +18,8 @@ from repro.htm.policy import (
     legal_combinations,
     parse_width,
 )
-from repro.htm.vm.base import (
+from repro.htm.vm import (
     available_schemes,
-    get_scheme,
     make_version_manager,
     resolve_scheme_name,
 )
@@ -113,14 +112,15 @@ def test_parse_width():
 
 
 def test_canonical_axes_cover_every_registered_scheme():
-    assert set(CANONICAL_AXES) == set(available_schemes())
-    for name, (vm, cd) in CANONICAL_AXES.items():
+    assert tuple(NAMED_SCHEMES) == available_schemes()
+    for name, row in NAMED_SCHEMES.items():
         config = SimConfig(n_cores=4)
         scheme = make_version_manager(name, config, _hierarchy(config))
-        assert (scheme.vm_axis, scheme.cd_axis) == (vm, cd)
+        assert (scheme.vm_axis, scheme.cd_axis) == (row.vm, row.cd)
+        assert scheme.name == row.reports
 
 
-# -- registry lookups -----------------------------------------------------
+# -- scheme-name lookups --------------------------------------------------
 
 def test_resolve_scheme_name_prefers_registered_aliases():
     # two-token names stay canonical aliases, not compositions
@@ -138,52 +138,43 @@ def test_unknown_scheme_error_is_typed_with_suggestions():
     assert err.value.name == "sub"
     assert "suv" in err.value.suggestions
     assert "did you mean" in str(err.value)
-    assert "logtm-se" in str(err.value)  # lists the registry
+    assert "logtm-se" in str(err.value)  # lists the named schemes
 
 
-def test_get_scheme_builds_composed_factories():
+def test_make_version_manager_builds_composed_schemes():
     config = SimConfig(n_cores=4)
-    factory = get_scheme("redirect+lazy+stall+serial")
-    vm = factory(config, _hierarchy(config))
+    vm = make_version_manager(
+        "redirect+lazy+stall+serial", config, _hierarchy(config)
+    )
     assert vm.name == "redirect+lazy+stall+serial"
     with pytest.raises(IncompatiblePolicyError):
-        get_scheme("undo+lazy+stall+serial")
+        make_version_manager(
+            "undo+lazy+stall+serial", config, _hierarchy(config)
+        )
 
 
 def test_vm_package_exports_policy_api():
     import repro.htm.vm as vm
 
-    for name in ("compose_scheme", "get_scheme", "ComposedVM",
-                 "ConflictDetection", "ConflictResolution",
+    for name in ("compose_scheme", "make_version_manager", "AdaptiveVM",
+                 "AdaptiveCD", "ConflictResolution",
                  "CommitArbitration", "SchemeComposition"):
         assert name in vm.__all__
         assert hasattr(vm, name)
 
 
-# -- the HTMConfig deprecation shim --------------------------------------
+# -- HTMConfig axes -------------------------------------------------------
 
-def test_htmconfig_policy_is_deprecated_but_maps():
-    with pytest.warns(DeprecationWarning, match="resolution"):
-        cfg = HTMConfig(policy="abort")
-    assert cfg.resolution == "abort_requester"
-    assert cfg.policy == ""
-    with pytest.warns(DeprecationWarning):
-        cfg = HTMConfig(policy="stall")
-    assert cfg.resolution == "stall"
-
-
-def test_htmconfig_replace_does_not_rewarn():
-    with pytest.warns(DeprecationWarning):
-        cfg = HTMConfig(policy="abort_responder")
-    # -W error in the suite turns any stray warning into a failure here
-    again = dataclasses.replace(cfg, checkpoint_cycles=8)
-    assert again.resolution == "abort_responder"
+def test_htmconfig_policy_spelling_is_removed():
+    # ``resolution=`` is the only spelling of the resolution axis
+    with pytest.raises(TypeError):
+        HTMConfig(policy="stall")
+    assert HTMConfig(resolution="abort_requester").resolution == (
+        "abort_requester"
+    )
 
 
 def test_htmconfig_rejects_conflicts_and_unknowns():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="conflicting"):
-            HTMConfig(policy="abort", resolution="stall")
     with pytest.raises(ValueError, match="resolution"):
         HTMConfig(resolution="nope")
     with pytest.raises(ValueError, match="arbitration"):
@@ -194,3 +185,6 @@ def test_htmconfig_defaults_resolution_to_stall():
     assert HTMConfig().resolution == "stall"
     assert HTMConfig().arbitration == "serial"
     assert HTMConfig(arbitration="width4").arbitration == "width4"
+    cfg = HTMConfig(resolution="abort_responder")
+    again = dataclasses.replace(cfg, checkpoint_cycles=8)
+    assert again.resolution == "abort_responder"

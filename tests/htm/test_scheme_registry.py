@@ -1,14 +1,9 @@
-"""Tests for the decorator-based version-manager registry."""
+"""Tests for the named-scheme table: listing order, aliases, unknown names."""
 
 import pytest
 
 from repro.config import SimConfig
-from repro.htm.vm import base
-from repro.htm.vm.base import (
-    available_schemes,
-    make_version_manager,
-    register_scheme,
-)
+from repro.htm.vm import available_schemes, make_version_manager
 
 
 def test_builtin_schemes_registered_in_canonical_order():
@@ -31,22 +26,3 @@ def test_aliases_resolve_to_canonical_scheme():
 def test_unknown_scheme_lists_available():
     with pytest.raises(ValueError, match="logtm-se"):
         make_version_manager("nosuch", SimConfig(n_cores=2), None)
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_scheme("suv")(lambda config, hierarchy: None)
-
-
-def test_custom_scheme_registration():
-    @register_scheme("test-null", "testnull")
-    def make_null(config, hierarchy):
-        return ("null-vm", config.n_cores)
-
-    try:
-        assert "test-null" in available_schemes()
-        vm = make_version_manager("testnull", SimConfig(n_cores=2), None)
-        assert vm == ("null-vm", 2)
-    finally:
-        base._SCHEME_REGISTRY.pop("test-null", None)
-        base._SCHEME_ALIASES.pop("testnull", None)

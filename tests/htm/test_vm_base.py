@@ -4,12 +4,8 @@ import pytest
 
 from repro.config import SimConfig
 from repro.htm.transaction import TxFrame
-from repro.htm.vm.base import (
-    LOG_REGION_BASE,
-    VMStats,
-    VersionManager,
-    make_version_manager,
-)
+from repro.htm.vm import make_version_manager
+from repro.htm.vm.base import LOG_REGION_BASE, VMStats, VersionManager
 from repro.mem.hierarchy import MemoryHierarchy
 
 

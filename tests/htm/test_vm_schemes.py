@@ -5,8 +5,7 @@ import pytest
 from repro.config import HTMConfig, RedirectConfig, SimConfig
 from repro.core.redirect_entry import EntryState
 from repro.htm.ops import Read, Tx, Work, Write
-from repro.htm.vm.base import make_version_manager
-from repro.htm.vm.dyntm import DynTM
+from repro.htm.vm import make_version_manager
 from repro.htm.vm.suv import SUV
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.simulator import Simulator
@@ -322,7 +321,7 @@ def test_dyntm_suv_lazy_commit_cheaper_than_fastm_lazy_commit():
     results = {}
     for scheme in ("dyntm", "dyntm+suv"):
         sim = Simulator(cfg(), scheme=scheme, seed=3)
-        sim.scheme._counters[0] = 3  # site 0 → lazy
+        sim.scheme._cd._counters[0] = 3  # site 0 → lazy
         res = sim.run(prog())
         results[scheme] = res.breakdown.cycles["Committing"]
         assert sim.scheme.stats.extra["lazy_attempts"] >= 1
@@ -333,7 +332,7 @@ def test_lazy_overflow_forces_eager_retry():
     sim = Simulator(cfg(), scheme="dyntm", seed=3)
     sets = sim.config.l1.n_sets
     base = 0x40000
-    sim.scheme._counters[0] = 3  # start lazy
+    sim.scheme._cd._counters[0] = 3  # start lazy
 
     def thread():
         def body():
@@ -344,4 +343,4 @@ def test_lazy_overflow_forces_eager_retry():
     res = sim.run([thread])
     assert res.commits == 1
     assert sim.scheme.lazy.stats.extra["lazy_overflows"] >= 1
-    assert sim.scheme._counters[0] == 0  # selector reset to eager
+    assert sim.scheme._cd._counters[0] == 0  # selector reset to eager

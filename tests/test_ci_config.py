@@ -5,11 +5,15 @@ plain text: exact action pins (one version per action, registered in
 the setup-repro composite), concurrency cancellation, artifact uploads
 that survive failed gates, the Python matrix, and the study jobs.
 Textual assertions keep a drive-by workflow edit from silently
-unpinning an action or dropping the determinism gate.
+unpinning an action or dropping the determinism gate.  Scheme names
+passed to ``--schemes`` are resolved here too, so a removed alias fails
+locally rather than on GitHub.
 """
 
 import re
 from pathlib import Path
+
+from repro.htm.vm import resolve_scheme_name
 
 GITHUB = Path(__file__).resolve().parent.parent / ".github"
 CI = GITHUB / "workflows" / "ci.yml"
@@ -132,3 +136,20 @@ def test_nightly_study_is_scheduled_and_dispatchable():
     assert "workflow_dispatch:" in text
     assert "python -m repro study" in text
     assert "--resume" in text  # crash-safe: journal-backed campaign
+
+
+def test_workflow_scheme_names_resolve():
+    # every name after ``--schemes`` on a (continuation-joined) command
+    # line must resolve: named scheme, alias, or legal composed name
+    checked = 0
+    for path in all_yaml_files():
+        for line in path.read_text().replace("\\\n", " ").splitlines():
+            tokens = line.split()
+            if "--schemes" not in tokens:
+                continue
+            for name in tokens[tokens.index("--schemes") + 1:]:
+                if name.startswith("-"):
+                    break
+                checked += 1
+                resolve_scheme_name(name)  # raises on a stale name
+    assert checked, "no --schemes lists found — wrong path?"

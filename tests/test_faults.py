@@ -198,3 +198,23 @@ def test_fault_campaign_covers_suv_lazy_hybrid(workload, plan):
     res = execute_spec(spec)
     assert res.oracle is not None and res.oracle["passed"]
     assert res.fault_trace, "the plan must actually inject"
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    ["suv", "redirect+eager+stall+serial", "redirect+lazy+stall+serial",
+     "redirect+adaptive+stall+serial", "mvsuv+eager+stall+serial"],
+)
+@pytest.mark.parametrize("plan", ["table-squeeze", "pool-pressure", "sig-storm"])
+def test_redirect_faults_reach_every_redirect_composition(scheme, plan):
+    """Table, pool and summary faults find their target on every scheme
+    with SUV placement, composed spellings included."""
+    from repro.runner import ExperimentSpec, execute_spec
+
+    spec = ExperimentSpec(
+        workload="genome", scheme=scheme, scale="tiny", cores=4, seed=3,
+        fault_plan=plan,
+    )
+    res = execute_spec(spec)
+    assert res.fault_trace
+    assert all(event["hit"] for event in res.fault_trace), res.fault_trace
