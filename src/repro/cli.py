@@ -88,7 +88,6 @@ def _scheme_from_args(args: argparse.Namespace, scheme: str):
             "vm": args.vm or "redirect",
             "cd": args.cd or "eager",
             "resolution": args.resolution,
-            "arbitration": getattr(args, "arbitration", "serial"),
         }
     return scheme
 
@@ -108,7 +107,6 @@ def _spec_from_args(
         cores=args.cores,
         threads=args.threads,
         resolution=args.resolution,
-        arbitration=getattr(args, "arbitration", "serial"),
         stagger=args.stagger,
         verify=not args.no_verify,
         config_overrides=config_overrides,
@@ -258,7 +256,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         cores=(args.cores,),
         threads=(args.threads,),
         resolutions=(args.resolution,),
-        arbitrations=(args.arbitration,),
         staggers=(args.stagger,),
         fault_plans=tuple(getattr(args, "fault_plans", None) or ("",)),
         verify=not args.no_verify,
@@ -425,7 +422,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         cores=(args.cores,),
         threads=(args.threads,),
         resolutions=(args.resolution,),
-        arbitrations=(args.arbitration,),
         staggers=(args.stagger,),
         fault_plans=plans,
         verify=not args.no_verify,
@@ -573,7 +569,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 def _schemes_doc() -> dict:
     """The named schemes + policy space as one JSON-friendly document."""
     from repro.htm.policy import (
-        ARBITRATION_AXIS,
         CD_AXIS,
         NAMED_SCHEMES,
         RESOLUTION_AXIS,
@@ -593,7 +588,6 @@ def _schemes_doc() -> dict:
             "vm": list(VM_AXIS),
             "cd": list(CD_AXIS),
             "resolution": list(RESOLUTION_AXIS),
-            "arbitration": list(ARBITRATION_AXIS),
         },
         "canonical": [
             {"name": name, "vm": row.vm, "cd": row.cd}
@@ -609,18 +603,18 @@ def scheme_table_markdown() -> str:
     """The README scheme table, generated from the named-scheme table."""
     doc = _schemes_doc()
     lines = [
-        "| Scheme | VM axis | CD axis | Resolution | Arbitration |",
-        "|--------|---------|---------|------------|-------------|",
+        "| Scheme | VM axis | CD axis | Resolution |",
+        "|--------|---------|---------|------------|",
     ]
     for row in doc["canonical"]:
         lines.append(
             f"| `{row['name']}` | {row['vm']} | {row['cd']} "
-            "| config (`stall`) | config (`serial`) |"
+            "| config (`stall`) |"
         )
     counts = doc["counts"]
     lines.append("")
     lines.append(
-        f"Composed names cover the legal subset of the four-axis space "
+        f"Composed names cover the legal subset of the three-axis space "
         f"({counts['legal']} of {counts['total']} combinations; "
         "`repro schemes --list` prints them all)."
     )
@@ -646,14 +640,14 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     print(format_table(
         ["scheme", "vm", "cd"],
         [[row["name"], row["vm"], row["cd"]] for row in doc["canonical"]],
-        title="canonical schemes (resolution/arbitration from HTMConfig)",
+        title="canonical schemes (resolution from HTMConfig)",
     ))
     print()
     for axis, values in doc["axes"].items():
         print(f"{axis:12s}: {', '.join(values)}")
     counts = doc["counts"]
     print(f"\ncomposed space: {counts['legal']} legal of "
-          f"{counts['total']} vm+cd+resolution+arbitration combinations "
+          f"{counts['total']} vm+cd+resolution combinations "
           "(`repro schemes --list`)")
     return 0
 
@@ -713,7 +707,6 @@ def cmd_study(args: argparse.Namespace) -> int:
             vms=_split_commas(args.vms),
             cds=_split_commas(args.cds),
             resolutions=_split_commas(args.resolutions),
-            arbitrations=_split_commas(args.arbitrations),
             verify=not args.no_verify,
         )
         space.matrix()  # raises typed when the filters leave nothing
@@ -759,9 +752,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall",
                    help="conflict-resolution axis")
-    p.add_argument("--arbitration", default="serial",
-                   help="commit-arbitration axis: serial or widthN "
-                        "(N >= 2); applies to lazy-mode commits")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the workload's functional verifier")
@@ -791,12 +781,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=_WORKLOAD_CHOICES)
     p.add_argument("scheme", type=_scheme_name, nargs="?", default="suv",
                    help="a named scheme or a composed "
-                        "vm+cd+resolution+arbitration name")
+                        "vm+cd+resolution name")
     p.add_argument("--vm",
                    choices=("undo", "flash", "redirect", "buffer", "mvsuv"),
-                   help="version-management axis; with --cd/--resolution/"
-                        "--arbitration this composes a scheme and "
-                        "overrides the positional name")
+                   help="version-management axis; with --cd/--resolution "
+                        "this composes a scheme and overrides the "
+                        "positional name")
     p.add_argument("--cd", choices=("eager", "lazy", "adaptive"),
                    help="conflict-detection axis (see --vm)")
     p.add_argument("--stats", action="store_true")
@@ -840,8 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vms", nargs="+", default=[],
                    choices=("undo", "flash", "redirect", "buffer", "mvsuv"),
                    help="version-management axis sweep; with --cds/"
-                        "--resolution/--arbitration replaces --schemes by "
-                        "the legal composed cross product")
+                        "--resolution replaces --schemes by the legal "
+                        "composed cross product")
     p.add_argument("--cds", nargs="+", default=[],
                    choices=("eager", "lazy", "adaptive"),
                    help="conflict-detection axis sweep (see --vms)")
@@ -852,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=0)
     p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
-    p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--fault-plans", nargs="+", default=[],
@@ -941,7 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=0)
     p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
-    p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--jobs", type=int, default=0,
@@ -982,8 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cd-axis filter (default: the whole axis)")
     p.add_argument("--resolutions", nargs="+", default=[],
                    help="resolution-axis filter (default: the whole axis)")
-    p.add_argument("--arbitrations", nargs="+", default=[],
-                   help="arbitration-axis filter (default: the whole axis)")
     p.add_argument("--seeds", "--seed", type=int, nargs="+", default=[1])
     p.add_argument("--scale", choices=("tiny", "small", "full"),
                    default="tiny")

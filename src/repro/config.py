@@ -135,10 +135,6 @@ class HTMConfig:
     #: :mod:`repro.htm.policy` for their semantics).  The legal value
     #: set is :data:`repro.htm.policy.RESOLUTION_AXIS`.
     resolution: str = "stall"
-    #: commit-arbitration axis for lazy-mode commits: ``serial`` (one
-    #: committer at a time, the classic global token) or ``widthN``
-    #: (N read/write-disjoint committers may overlap, N >= 2).
-    arbitration: str = "serial"
     #: cycles to take / restore a register checkpoint at begin / abort.
     checkpoint_cycles: int = 4
     #: cycles to enter the software abort handler (LogTM-SE-style trap).
@@ -170,11 +166,10 @@ class HTMConfig:
     def __post_init__(self) -> None:
         # deferred import: repro.htm.policy (via the repro.htm package)
         # imports this module at load time
-        from repro.htm.policy import RESOLUTION_AXIS, parse_width
+        from repro.htm.policy import RESOLUTION_AXIS
 
         if self.resolution not in RESOLUTION_AXIS:
             raise ValueError(f"unknown conflict resolution {self.resolution!r}")
-        parse_width(self.arbitration)  # IncompatiblePolicyError (a ValueError)
 
 
 @dataclass(frozen=True)

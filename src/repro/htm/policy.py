@@ -1,10 +1,10 @@
-"""The four composable policy axes of an HTM scheme.
+"""The three composable policy axes of an HTM scheme.
 
 The paper frames SUV as one point in a *design space* of version-
 management choices (Section II's taxonomy).  This module makes that
 space first-class: a scheme is no longer one monolithic
 :class:`~repro.htm.vm.base.VersionManager` class but a composition of
-four independent axes, mirroring the parameterization of the gem5/
+three independent axes, mirroring the parameterization of the gem5/
 Murcia HTM model (``lazy_vm`` / lazy conflict detection / resolution
 policy as independent config knobs):
 
@@ -30,10 +30,11 @@ policy as independent config knobs):
     waiting holders abortable — starvation-free), ``karma`` (accumulated
     work as priority, retained and incremented across aborts).
 
-``arbitration`` — *how lazy commits serialize*
-    ``serial`` (one global commit token, TCC-style) or ``widthN``
-    (``width2``, ``width4``, ...: up to N non-conflicting lazy
-    transactions may be between validation and publication at once).
+Lazy commits serialize through one global commit token
+(:class:`CommitArbitration`, TCC-style), as in the paper's lazy
+baselines.  It is a fixed mechanism, not an axis: with more than one
+committer admitted, two whose write sets overlap would publish
+unordered.
 
 Every class here is a small, fully-typed policy object; the
 :class:`~repro.htm.vm.composed.AdaptiveVM` wrapper and the simulator
@@ -70,9 +71,6 @@ RESOLUTION_AXIS: tuple[str, ...] = (
     "stall", "abort_requester", "abort_responder", "timestamp",
     "polite", "greedy", "karma",
 )
-#: arbitration axis values enumerated by the scheme space; ``parse_width``
-#: accepts any ``widthN`` with N >= 2 beyond these
-ARBITRATION_AXIS: tuple[str, ...] = ("serial", "width2", "width4")
 
 class NamedScheme(NamedTuple):
     """One row of :data:`NAMED_SCHEMES`."""
@@ -87,10 +85,9 @@ class NamedScheme(NamedTuple):
 
 #: the seven named schemes, in listing order (baseline first, the
 #: paper's contribution third, as in the figures): each is a (vm, cd)
-#: point of the space whose resolution and arbitration axes come from
-#: ``HTMConfig`` (default stall + serial).  ``dyntm`` reports
-#: ``dyntm+fastm``, the name its results always carried (the golden
-#: digests hash it).
+#: point of the space whose resolution axis comes from ``HTMConfig``
+#: (default stall).  ``dyntm`` reports ``dyntm+fastm``, the name its
+#: results always carried (the golden digests hash it).
 NAMED_SCHEMES: Mapping[str, NamedScheme] = {
     "logtm-se": NamedScheme("undo", "eager", "logtm-se", ("logtmse", "logtm")),
     "fastm": NamedScheme("flash", "eager", "fastm"),
@@ -104,21 +101,6 @@ NAMED_SCHEMES: Mapping[str, NamedScheme] = {
 }
 
 
-def parse_width(arbitration: str) -> int:
-    """Commit width of an arbitration axis value (``serial`` = 1)."""
-    if arbitration == "serial":
-        return 1
-    if arbitration.startswith("width"):
-        digits = arbitration[len("width"):]
-        if digits.isdigit() and int(digits) >= 2:
-            return int(digits)
-    raise IncompatiblePolicyError(
-        "bad arbitration axis value",
-        axes={"arbitration": arbitration},
-        reason="expected 'serial' or 'widthN' with N >= 2",
-    )
-
-
 def _normalize_axis(value: str) -> str:
     return value.strip().lower().replace("-", "_")
 
@@ -129,25 +111,19 @@ def _normalize_axis(value: str) -> str:
 
 @dataclass(frozen=True)
 class SchemeComposition:
-    """One point of the four-axis design space, as a hashable value."""
+    """One point of the three-axis design space, as a hashable value."""
 
     vm: str = "redirect"
     cd: str = "eager"
     resolution: str = "stall"
-    arbitration: str = "serial"
 
     @property
     def name(self) -> str:
-        """The canonical composed scheme name, ``vm+cd+resolution+arb``."""
-        return f"{self.vm}+{self.cd}+{self.resolution}+{self.arbitration}"
+        """The canonical composed scheme name, ``vm+cd+resolution``."""
+        return f"{self.vm}+{self.cd}+{self.resolution}"
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "vm": self.vm,
-            "cd": self.cd,
-            "resolution": self.resolution,
-            "arbitration": self.arbitration,
-        }
+        return {"vm": self.vm, "cd": self.cd, "resolution": self.resolution}
 
     # -- legality -------------------------------------------------------
     def illegal_reason(self) -> str | None:
@@ -161,10 +137,6 @@ class SchemeComposition:
                 "unknown resolution axis value "
                 f"(choose from {', '.join(RESOLUTION_AXIS)})"
             )
-        try:
-            width = parse_width(self.arbitration)
-        except IncompatiblePolicyError as exc:
-            return exc.reason
         if self.cd == "lazy" and self.vm in ("undo", "flash"):
             return (
                 f"{self.vm} version management updates lines the coherence "
@@ -187,12 +159,6 @@ class SchemeComposition:
                 "commit arbitration, so a concurrent snapshot reader could "
                 "not be given a consistent version timestamp"
             )
-        if self.cd == "eager" and width != 1:
-            return (
-                "commit width only arbitrates lazy commits; under eager "
-                "detection no transaction takes the arbitrated commit path, "
-                "so a non-serial width would silently mean nothing"
-            )
         return None
 
     def check(self) -> "SchemeComposition":
@@ -213,16 +179,15 @@ class SchemeComposition:
     def parse(cls, name: str) -> "SchemeComposition | None":
         """Parse a composed scheme name; ``None`` if not composition-shaped.
 
-        A composed name has exactly four ``+``-separated axis tokens
+        A composed name has exactly three ``+``-separated axis tokens
         (which keeps two-token canonical names like ``dyntm+suv`` out of
         this path).  Returns the composition *unchecked* — callers
         decide between :meth:`check` and :attr:`is_legal`.
         """
         parts = [_normalize_axis(p) for p in name.split("+")]
-        if len(parts) != 4 or not all(parts):
+        if len(parts) != 3 or not all(parts):
             return None
-        return cls(vm=parts[0], cd=parts[1],
-                   resolution=parts[2], arbitration=parts[3])
+        return cls(vm=parts[0], cd=parts[1], resolution=parts[2])
 
     @classmethod
     def from_value(
@@ -232,7 +197,7 @@ class SchemeComposition:
         if isinstance(value, SchemeComposition):
             return value.check()
         if isinstance(value, Mapping):
-            known = {"vm", "cd", "resolution", "arbitration"}
+            known = {"vm", "cd", "resolution"}
             unknown = set(value) - known
             if unknown:
                 raise IncompatiblePolicyError(
@@ -247,7 +212,7 @@ class SchemeComposition:
         if comp is None:
             raise UnknownSchemeError(
                 f"{value!r} is not a composed scheme name "
-                "(expected vm+cd+resolution+arbitration)",
+                "(expected vm+cd+resolution)",
                 name=value,
             )
         return comp.check()
@@ -257,7 +222,6 @@ def compose_scheme(
     vm: str = "redirect",
     cd: str = "eager",
     resolution: str = "stall",
-    arbitration: str = "serial",
 ) -> str:
     """The canonical composed scheme name for the given axes.
 
@@ -266,22 +230,19 @@ def compose_scheme(
     is stable enough to use as a cache key or spec field::
 
         >>> compose_scheme(vm="redirect", cd="lazy")
-        'redirect+lazy+stall+serial'
+        'redirect+lazy+stall'
     """
     return SchemeComposition(
         vm=_normalize_axis(vm),
         cd=_normalize_axis(cd),
         resolution=_normalize_axis(resolution),
-        arbitration=_normalize_axis(arbitration),
     ).check().name
 
 
 def iter_scheme_space() -> Iterator[SchemeComposition]:
     """Every enumerable axis combination, legal or not, in axis order."""
-    for vm, cd, resolution, arbitration in product(
-        VM_AXIS, CD_AXIS, RESOLUTION_AXIS, ARBITRATION_AXIS
-    ):
-        yield SchemeComposition(vm, cd, resolution, arbitration)
+    for vm, cd, resolution in product(VM_AXIS, CD_AXIS, RESOLUTION_AXIS):
+        yield SchemeComposition(vm, cd, resolution)
 
 
 def legal_combinations() -> tuple[SchemeComposition, ...]:
@@ -682,91 +643,30 @@ def make_resolution(name: str) -> ConflictResolution:
 
 
 # ---------------------------------------------------------------------------
-# commit-arbitration policies (the ``arbitration`` axis)
+# lazy-commit arbitration
 # ---------------------------------------------------------------------------
 
-class CommitArbitration(ABC):
-    """How lazy commits serialize between validation and publication."""
-
-    #: instance attribute (not ClassVar): width arbitration names itself
-    name: str = "abstract"
-
-    @abstractmethod
-    def blocking(self, requester: int) -> int | None:
-        """Core index the requester must wait behind, or ``None`` to go."""
-
-    @abstractmethod
-    def acquire(self, requester: int) -> None:
-        """Grant the requester a commit slot (``blocking`` returned None)."""
-
-    @abstractmethod
-    def release(self, requester: int) -> None:
-        """Release the requester's slot, if it holds one (idempotent)."""
-
-
-class SerialTokenArbitration(CommitArbitration):
+class CommitArbitration:
     """One global commit token (TCC-style): at most one lazy transaction
     is between validation and publication, so the version clock is
-    always current when a committer validates."""
-
-    name = "serial"
+    always current when a committer validates and no two committers'
+    write sets publish unordered."""
 
     def __init__(self) -> None:
         self._holder: int | None = None
 
     def blocking(self, requester: int) -> int | None:
+        """Core index the requester must wait behind, or ``None`` to go."""
         holder = self._holder
         if holder is not None and holder != requester:
             return holder
         return None
 
     def acquire(self, requester: int) -> None:
+        """Grant the requester the token (``blocking`` returned None)."""
         self._holder = requester
 
     def release(self, requester: int) -> None:
+        """Release the requester's token, if it holds it (idempotent)."""
         if self._holder == requester:
             self._holder = None
-
-
-class BoundedWidthArbitration(CommitArbitration):
-    """Up to ``width`` lazy transactions may commit concurrently.
-
-    Safe because a committer dooms every lazy transaction whose read
-    set overlaps its write set *before* entering publication
-    (``_doom_lazy_losers``): any two concurrently-admitted committers
-    are therefore read-write disjoint, and functional publication
-    stays atomic per transaction (``memory.bulk_store``).  A requester
-    past the width waits behind the lowest-numbered slot holder.
-    """
-
-    def __init__(self, width: int) -> None:
-        if width < 2:
-            raise IncompatiblePolicyError(
-                "bounded commit width must be >= 2",
-                axes={"arbitration": f"width{width}"},
-                reason="width 1 is the serial token",
-            )
-        self.width = width
-        self.name = f"width{width}"
-        self._holders: set[int] = set()
-
-    def blocking(self, requester: int) -> int | None:
-        holders = self._holders
-        if requester in holders or len(holders) < self.width:
-            return None
-        return min(holders)
-
-    def acquire(self, requester: int) -> None:
-        self._holders.add(requester)
-
-    def release(self, requester: int) -> None:
-        self._holders.discard(requester)
-
-
-def make_arbitration(name: str) -> CommitArbitration:
-    """Build an arbitration policy by axis value (``serial``/``widthN``)."""
-    normalized = _normalize_axis(name)
-    width = parse_width(normalized)  # raises on malformed values
-    if width == 1:
-        return SerialTokenArbitration()
-    return BoundedWidthArbitration(width)

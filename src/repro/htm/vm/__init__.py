@@ -17,8 +17,8 @@
   DynTM+SUV).
 
 Every scheme name — a named scheme (``"suv"``, see
-:data:`~repro.htm.policy.NAMED_SCHEMES`) or a composed four-axis name
-(``"redirect+lazy+stall+serial"``, see :func:`compose_scheme`) —
+:data:`~repro.htm.policy.NAMED_SCHEMES`) or a composed three-axis name
+(``"redirect+lazy+stall"``, see :func:`compose_scheme`) —
 resolves to one checked composition (:func:`resolve_scheme`), which
 :func:`build_version_manager` turns into a VM;
 :func:`make_version_manager` does both.

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 
 from repro.config import HTMConfig, SimConfig
 from repro.errors import UnknownSchemeError
-from repro.htm.policy import NAMED_SCHEMES, SchemeComposition
+from repro.htm.policy import (
+    NAMED_SCHEMES,
+    SchemeComposition,
+    legal_combinations,
+)
 from repro.htm.transaction import TxFrame
 from repro.mem.hierarchy import AccessResult, MemoryHierarchy
 from repro.trace import Tracer
@@ -232,8 +236,8 @@ def _normalize_scheme_name(name: str) -> str:
 def available_schemes() -> tuple[str, ...]:
     """The named schemes, in listing order.
 
-    Lists the *named* schemes only; the composed four-axis space
-    (``vm+cd+resolution+arbitration`` names, see
+    Lists the *named* schemes only; the composed three-axis space
+    (``vm+cd+resolution`` names, see
     :func:`repro.htm.policy.legal_combinations`) is enumerated
     separately so existing listings stay stable.
     """
@@ -244,8 +248,8 @@ def resolve_scheme_name(name: str) -> str:
     """Canonicalize a scheme name: a named scheme's spelling or a composed name.
 
     Named schemes win (so ``dyntm+suv`` stays the named DynTM variant,
-    not a composition); otherwise a four-token
-    ``vm+cd+resolution+arbitration`` name is legality-checked and
+    not a composition); otherwise a three-token
+    ``vm+cd+resolution`` name is legality-checked and
     canonicalized.  Raises :class:`~repro.errors.UnknownSchemeError`
     with near-miss suggestions, or
     :class:`~repro.errors.IncompatiblePolicyError` for a well-formed
@@ -259,31 +263,32 @@ def resolve_scheme_name(name: str) -> str:
         return composition.check().name
     import difflib
 
+    # near misses among the named spellings and the legal composed names
+    candidates = dict(_SPELLINGS)
+    candidates.update((c.name, c.name) for c in legal_combinations())
     suggestions = difflib.get_close_matches(
-        _normalize_scheme_name(name), sorted(_SPELLINGS), n=3, cutoff=0.6
+        _normalize_scheme_name(name), sorted(candidates), n=3, cutoff=0.6
     )
     raise UnknownSchemeError(
         f"unknown version-management scheme {name!r}; "
         f"named schemes: {', '.join(available_schemes())} "
-        "(or a composed vm+cd+resolution+arbitration name)",
+        "(or a composed vm+cd+resolution name)",
         name=name,
-        suggestions=[_SPELLINGS[s] for s in suggestions],
+        suggestions=[candidates[s] for s in suggestions],
     )
 
 
 def resolve_scheme(name: str, htm: HTMConfig) -> tuple[str, SchemeComposition]:
     """(the name results report, the checked composition) of a scheme name.
 
-    A composed name pins all four axes.  A named scheme pins vm and cd
-    and takes resolution and arbitration from ``htm``; the result passes
-    the same legality check as its composed spelling, so ``suv`` under
-    ``width2`` raises :class:`~repro.errors.IncompatiblePolicyError`
-    exactly as ``redirect+eager+stall+width2`` does.
+    A composed name pins all three axes.  A named scheme pins vm and cd
+    and takes its resolution from ``htm``; the result passes the same
+    legality check as its composed spelling.
     """
     canonical = resolve_scheme_name(name)
     row = NAMED_SCHEMES.get(canonical)
     if row is None:
         return canonical, SchemeComposition.from_value(canonical)
     return row.reports, SchemeComposition(
-        row.vm, row.cd, htm.resolution, htm.arbitration
+        row.vm, row.cd, htm.resolution
     ).check()

@@ -4,9 +4,10 @@
 name: a checked :class:`~repro.htm.policy.SchemeComposition` becomes a
 bare carrier VM under eager or lazy detection, and an
 :class:`AdaptiveVM` only under adaptive detection, the one cd value
-that switches mode per attempt.  The resolution and arbitration axes
-are not built here — the simulator reads them off the composition and
-instantiates the matching policy objects from :mod:`repro.htm.policy`.
+that switches mode per attempt.  The resolution axis is not built
+here — the simulator reads it off the composition and instantiates the
+matching policy object from :mod:`repro.htm.policy`, next to the one
+lazy-commit token (:class:`~repro.htm.policy.CommitArbitration`).
 
 :class:`RedirectLazyVM` is the novel hybrid the decomposition unlocks:
 SUV's redirect placement under *lazy* conflict detection.  Writes go to

@@ -32,7 +32,7 @@ from repro.errors import IncompatiblePolicyError
 from repro.htm.policy import SchemeComposition
 
 #: bump when the spec encoding changes, so stale cache entries never match
-SPEC_FORMAT_VERSION = 4
+SPEC_FORMAT_VERSION = 5
 
 _SCALES = ("tiny", "small", "full")
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -65,8 +65,8 @@ class ExperimentSpec:
     """
 
     workload: str
-    #: a named scheme (``"suv"``), a composed four-axis name
-    #: (``"redirect+lazy+stall+serial"``), or an axes mapping
+    #: a named scheme (``"suv"``), a composed three-axis name
+    #: (``"redirect+lazy+stall"``), or an axes mapping
     #: (``{"vm": "redirect", "cd": "lazy"}``); mappings and composed
     #: names normalize to the canonical composed spelling
     scheme: str | Mapping[str, str] = "suv"
@@ -76,8 +76,6 @@ class ExperimentSpec:
     threads: int = 0  # 0 = one software thread per core
     #: conflict-resolution axis; a composed scheme name fills it in
     resolution: str = "stall"
-    #: commit-arbitration axis; a composed scheme name fills it in
-    arbitration: str = "serial"
     stagger: int = 512
     verify: bool = True
     max_events: int = 20_000_000
@@ -100,17 +98,15 @@ class ExperimentSpec:
         else:
             comp = SchemeComposition.parse(self.scheme)
         if comp is not None:
-            # a composed name pins both axes: one run, one spec (and hash)
+            # a composed name pins the resolution: one run, one spec (and hash)
             comp.check()
-            for axis in ("resolution", "arbitration"):
-                given, pinned = getattr(self, axis), getattr(comp, axis)
-                default = self.__dataclass_fields__[axis].default
-                if given not in (default, pinned):
-                    raise ValueError(
-                        f"conflicting {axis}={given!r} and scheme "
-                        f"{comp.name!r}, which pins {axis}={pinned!r}"
-                    )
-                object.__setattr__(self, axis, pinned)
+            default = self.__dataclass_fields__["resolution"].default
+            if self.resolution not in (default, comp.resolution):
+                raise ValueError(
+                    f"conflicting resolution={self.resolution!r} and scheme "
+                    f"{comp.name!r}, which pins resolution={comp.resolution!r}"
+                )
+            object.__setattr__(self, "resolution", comp.resolution)
             object.__setattr__(self, "scheme", comp.name)
         object.__setattr__(
             self,
@@ -140,7 +136,6 @@ class ExperimentSpec:
             n_cores=self.cores,
             htm=HTMConfig(
                 resolution=self.resolution,
-                arbitration=self.arbitration,
                 start_stagger=self.stagger,
             ),
         )
@@ -210,17 +205,16 @@ class RunMatrix:
 
     Two ways to pick schemes: ``schemes`` lists scheme names
     directly, while the per-axis lists ``vms``/``cds`` (with
-    ``resolutions``/``arbitrations``) sweep the composed policy space —
-    setting either replaces the ``schemes`` axis with the *legal* subset
-    of the vm × cd × resolution × arbitration cross product (illegal
-    combinations are skipped; see :mod:`repro.htm.policy`).
+    ``resolutions``) sweep the composed policy space — setting either
+    replaces the ``schemes`` axis with the *legal* subset of the
+    vm × cd × resolution cross product (illegal combinations are
+    skipped; see :mod:`repro.htm.policy`).
     """
 
     workloads: Sequence[str]
     schemes: Sequence[str] = ("suv",)
     #: version-management axis values; non-empty switches the matrix to
-    #: composed-scheme expansion (with ``cds``/``resolutions``/
-    #: ``arbitrations``)
+    #: composed-scheme expansion (with ``cds``/``resolutions``)
     vms: Sequence[str] = ()
     #: conflict-detection axis values for composed-scheme expansion
     cds: Sequence[str] = ()
@@ -229,7 +223,6 @@ class RunMatrix:
     cores: Sequence[int] = (16,)
     threads: Sequence[int] = (0,)
     resolutions: Sequence[str] = ("stall",)
-    arbitrations: Sequence[str] = ("serial",)
     staggers: Sequence[int] = (512,)
     overrides: Sequence[Overrides] = ((),)
     #: fault-plan axis: each entry is a spec string ("" = fault-free)
@@ -239,40 +232,32 @@ class RunMatrix:
     check: bool = False
     max_events: int = 20_000_000
 
-    def _scheme_axis(self) -> list[tuple[str, str, str]]:
-        """(scheme, resolution, arbitration) triples to cross over."""
+    def _scheme_axis(self) -> list[tuple[str, str]]:
+        """(scheme, resolution) pairs to cross over."""
         if not (self.vms or self.cds):
-            return [
-                (scheme, resolution, arbitration)
-                for scheme, resolution, arbitration in product(
-                    self.schemes, self.resolutions, self.arbitrations
-                )
-            ]
-        triples: list[tuple[str, str, str]] = []
-        for vm, cd, resolution, arbitration in product(
-            self.vms or ("redirect",), self.cds or ("eager",),
-            self.resolutions, self.arbitrations,
+            return list(product(self.schemes, self.resolutions))
+        pairs: list[tuple[str, str]] = []
+        for vm, cd, resolution in product(
+            self.vms or ("redirect",), self.cds or ("eager",), self.resolutions,
         ):
             try:
-                comp = SchemeComposition.from_value({
-                    "vm": vm, "cd": cd,
-                    "resolution": resolution, "arbitration": arbitration,
-                })
+                comp = SchemeComposition.from_value(
+                    {"vm": vm, "cd": cd, "resolution": resolution}
+                )
             except IncompatiblePolicyError:
                 continue  # physically impossible corner of the sweep
-            triples.append((comp.name, comp.resolution, comp.arbitration))
-        if not triples:
+            pairs.append((comp.name, comp.resolution))
+        if not pairs:
             raise IncompatiblePolicyError(
                 "no legal scheme in matrix axes",
                 axes={
                     "vm": ",".join(self.vms) or "redirect",
                     "cd": ",".join(self.cds) or "eager",
                     "resolution": ",".join(self.resolutions),
-                    "arbitration": ",".join(self.arbitrations),
                 },
                 reason="every combination in the cross product is illegal",
             )
-        return triples
+        return pairs
 
     def specs(self) -> list[ExperimentSpec]:
         """Expand the cross product into concrete specs."""
@@ -285,7 +270,6 @@ class RunMatrix:
                 cores=n_cores,
                 threads=n_threads,
                 resolution=resolution,
-                arbitration=arbitration,
                 stagger=stagger,
                 verify=self.verify,
                 max_events=self.max_events,
@@ -294,7 +278,7 @@ class RunMatrix:
                 fault_plan=plan,
                 check=self.check,
             )
-            for workload, (scheme, resolution, arbitration), scale, seed,
+            for workload, (scheme, resolution), scale, seed,
                 n_cores, n_threads, stagger, over, plan in product(
                     self.workloads, self._scheme_axis(), self.scales,
                     self.seeds, self.cores, self.threads, self.staggers,

@@ -46,7 +46,6 @@ from repro.htm.policy import (
     CommitArbitration,
     ConflictResolution,
     StallResolution,
-    make_arbitration,
     make_resolution,
 )
 from repro.htm.transaction import TxFrame
@@ -194,8 +193,8 @@ class SimResult:
     #: isolation-window accounting and latency percentiles (see
     #: :meth:`repro.trace.Tracer.phase_breakdown`)
     phase_breakdown: dict[str, Any] = field(default_factory=dict)
-    #: the four policy-axis values the run executed under
-    #: (``vm``/``cd``/``resolution``/``arbitration``)
+    #: the three policy-axis values the run executed under
+    #: (``vm``/``cd``/``resolution``)
     policy_axes: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -283,8 +282,8 @@ class Simulator:
         self.rng = RngStreams(seed)
         self.hierarchy = MemoryHierarchy(self.config)
         self.memory = self.hierarchy.memory
-        #: the scheme's checked composition pins all four policy axes (a
-        #: named scheme takes resolution and arbitration from HTMConfig)
+        #: the scheme's checked composition pins all three policy axes (a
+        #: named scheme takes its resolution from HTMConfig)
         name, composition = resolve_scheme(scheme, self.config.htm)
         self.scheme: VersionManager = build_version_manager(
             composition, self.config, self.hierarchy, name
@@ -322,12 +321,10 @@ class Simulator:
         self._resolution: ConflictResolution = make_resolution(
             composition.resolution
         )
-        #: lazy-commit arbitration (TCC-style serial token by default):
-        #: bounds how many lazy transactions may be between validation
-        #: and publication, so a committer's validation stays current.
-        self._arbitration: CommitArbitration = make_arbitration(
-            composition.arbitration
-        )
+        #: the lazy-commit token (TCC-style): one lazy transaction at a
+        #: time between validation and publication, so a committer's
+        #: validation stays current.
+        self._arbitration = CommitArbitration()
         #: the run's axis labels, attached to SimResult, the phase
         #: breakdown, and the trace metadata
         self.policy_axes: dict[str, str] = composition.as_dict()
@@ -717,7 +714,7 @@ class Simulator:
                 arb = self._arbitration
                 arb_holder = arb.blocking(core.idx)
                 if arb_holder is not None:
-                    # no free commit slot: arbitration stall
+                    # another committer holds the token: arbitration stall
                     self._stall_on(core, arb_holder, ("commit", tx_value))
                     return
                 arb.acquire(core.idx)

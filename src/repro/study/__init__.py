@@ -1,7 +1,7 @@
 """Design-space study subsystem.
 
-PR 6 decomposed the schemes into a vm × cd × resolution × arbitration
-cross product; this package *exploits* that space.  A
+The schemes decompose into a vm × cd × resolution cross product
+(:mod:`repro.htm.policy`); this package *exploits* that space.  A
 :class:`StudySpace` expands the legal policy combinations × a workload
 set into the :class:`~repro.runner.RunMatrix` the crash-safe runner
 executes (journal + cache + chaos-hardened executor), and the analysis

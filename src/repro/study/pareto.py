@@ -27,7 +27,7 @@ OBJECTIVES = ("cycles", "aborts", "pool_high_water")
 class StudyPoint:
     """One (combination, workload) outcome in objective space."""
 
-    scheme: str  #: composed four-axis name
+    scheme: str  #: composed three-axis name
     cycles: int
     aborts: int
     pool_high_water: int
@@ -62,8 +62,8 @@ def rank_points(points: Iterable[StudyPoint]) -> list[StudyPoint]:
     """Points ordered best-first by (cycles, aborts, pool, name).
 
     The name tie-break makes the ranking total and therefore
-    deterministic even when two combinations behave identically (an
-    arbitration axis value that never engages, say).
+    deterministic even when two combinations behave identically (a
+    resolution that never engages on a workload without conflicts, say).
     """
     return sorted(
         points,

@@ -142,14 +142,14 @@ def format_csv(doc: Mapping[str, Any]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
         "workload", "rank", "scheme", "vm", "cd", "resolution",
-        "arbitration", "cycles", "aborts", "pool_high_water", "on_front",
+        "cycles", "aborts", "pool_high_water", "on_front",
     ])
     for workload, section in sorted(doc.get("per_workload", {}).items()):
         for entry in section.get("ranking", []):
             writer.writerow([
                 workload, entry["rank"], entry["scheme"], entry["vm"],
-                entry["cd"], entry["resolution"], entry["arbitration"],
-                entry["cycles"], entry["aborts"], entry["pool_high_water"],
+                entry["cd"], entry["resolution"], entry["cycles"],
+                entry["aborts"], entry["pool_high_water"],
                 int(bool(entry.get("on_front"))),
             ])
     return buf.getvalue()

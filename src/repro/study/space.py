@@ -1,13 +1,15 @@
 """The swept region of the policy design space.
 
 A :class:`StudySpace` is the frozen description of one study: which
-workloads, which slice of the four policy axes (default: all of it),
+workloads, which slice of the three policy axes (default: all of it),
 and the machine/seed pins.  It expands to the legal combinations via
 :func:`repro.htm.policy.legal_combinations` — never a hardcoded list —
 and to runnable :class:`~repro.runner.ExperimentSpec` values through
 the same :class:`~repro.runner.RunMatrix` machinery every other
 campaign uses, so studies inherit caching, journaling and the
-chaos-hardened executor for free.
+chaos-hardened executor for free.  Every run has the atomicity oracle
+armed, so a combination that violates atomicity lands in the study's
+failures instead of its rankings.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Any, Sequence
 
 from repro.errors import IncompatiblePolicyError
 from repro.htm.policy import (
-    ARBITRATION_AXIS,
     CD_AXIS,
     RESOLUTION_AXIS,
     VM_AXIS,
@@ -27,7 +28,7 @@ from repro.htm.policy import (
 from repro.runner import ExperimentSpec, RunMatrix
 
 #: the axis names, in canonical order (mirrors SchemeComposition)
-AXES = ("vm", "cd", "resolution", "arbitration")
+AXES = ("vm", "cd", "resolution")
 
 
 def _axis_subset(
@@ -50,10 +51,10 @@ def _axis_subset(
 class StudySpace:
     """One design-space study, as a frozen value.
 
-    The axis filters (``vms``/``cds``/``resolutions``/``arbitrations``)
-    default to the full axes; a study over a slice (CI smoke, a
-    focussed question) sets them explicitly.  Expansion keeps only the
-    *legal* subset of the cross product.
+    The axis filters (``vms``/``cds``/``resolutions``) default to the
+    full axes; a study over a slice (CI smoke, a focussed question) sets
+    them explicitly.  Expansion keeps only the *legal* subset of the
+    cross product.
     """
 
     workloads: tuple[str, ...]
@@ -65,7 +66,6 @@ class StudySpace:
     vms: tuple[str, ...] = ()
     cds: tuple[str, ...] = ()
     resolutions: tuple[str, ...] = ()
-    arbitrations: tuple[str, ...] = ()
     verify: bool = True
     workload_kwargs: tuple[tuple[str, Any], ...] = field(default=())
 
@@ -81,11 +81,6 @@ class StudySpace:
             "resolutions",
             _axis_subset(self.resolutions, RESOLUTION_AXIS, "resolution"),
         )
-        object.__setattr__(
-            self,
-            "arbitrations",
-            _axis_subset(self.arbitrations, ARBITRATION_AXIS, "arbitration"),
-        )
 
     def with_(self, **changes: Any) -> "StudySpace":
         return replace(self, **changes)
@@ -97,7 +92,6 @@ class StudySpace:
             c for c in legal_combinations()
             if c.vm in self.vms and c.cd in self.cds
             and c.resolution in self.resolutions
-            and c.arbitration in self.arbitrations
         )
 
     def matrix(self) -> RunMatrix:
@@ -109,7 +103,6 @@ class StudySpace:
                     "vm": ",".join(self.vms),
                     "cd": ",".join(self.cds),
                     "resolution": ",".join(self.resolutions),
-                    "arbitration": ",".join(self.arbitrations),
                 },
                 reason="no legal combination survives the axis filters",
             )
@@ -118,7 +111,6 @@ class StudySpace:
             vms=self.vms,
             cds=self.cds,
             resolutions=self.resolutions,
-            arbitrations=self.arbitrations,
             scales=(self.scale,),
             seeds=self.seeds,
             cores=(self.cores,),
@@ -126,6 +118,7 @@ class StudySpace:
             staggers=(self.stagger,),
             workload_kwargs=self.workload_kwargs,
             verify=self.verify,
+            check=True,
         )
 
     def specs(self) -> list[ExperimentSpec]:
@@ -145,7 +138,6 @@ class StudySpace:
                 "vm": list(self.vms),
                 "cd": list(self.cds),
                 "resolution": list(self.resolutions),
-                "arbitration": list(self.arbitrations),
             },
             "combos": len(self.combos()),
         }

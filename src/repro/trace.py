@@ -171,7 +171,7 @@ class Tracer:
         #: its event queue here so version managers can stamp events
         self.clock: Any = _ZERO_CLOCK
         #: free-form labels stamped on the trace (the simulator installs
-        #: the run's policy axes: vm/cd/resolution/arbitration)
+        #: the run's policy axes: vm/cd/resolution)
         self.labels: dict[str, str] = {}
         # -- always-on metrics ------------------------------------------
         self.windows = 0

@@ -1,27 +1,27 @@
-"""Composed four-axis schemes: canonical equivalence and novel hybrids."""
+"""Composed three-axis schemes: canonical equivalence and novel hybrids."""
 
 import pytest
 
 from repro.errors import IncompatiblePolicyError
 from repro.runner import ExperimentSpec, RunMatrix, execute_spec
 
-#: canonical name ↔ its four-axis spelling (stall + serial = the
-#: HTMConfig defaults every canonical scheme runs under)
+#: canonical name ↔ its three-axis spelling (stall = the HTMConfig
+#: default every canonical scheme runs under)
 EQUIVALENTS = [
-    ("logtm-se", "undo+eager+stall+serial"),
-    ("fastm", "flash+eager+stall+serial"),
-    ("suv", "redirect+eager+stall+serial"),
-    ("lazy", "buffer+eager+stall+serial"),
-    ("dyntm", "flash+adaptive+stall+serial"),
-    ("dyntm+suv", "redirect+adaptive+stall+serial"),
+    ("logtm-se", "undo+eager+stall"),
+    ("fastm", "flash+eager+stall"),
+    ("suv", "redirect+eager+stall"),
+    ("lazy", "buffer+eager+stall"),
+    ("dyntm", "flash+adaptive+stall"),
+    ("dyntm+suv", "redirect+adaptive+stall"),
 ]
 
-#: the two headline hybrids the decomposition unlocks, plus a bounded-
-#: width commit pipe — none expressible before this refactor
+#: the two headline hybrids the decomposition unlocks, plus lazy SUV
+#: under age-based resolution — none expressible as a named scheme
 HYBRIDS = [
-    "redirect+lazy+stall+serial",     # SUV-VM + lazy conflict detection
-    "undo+eager+timestamp+serial",    # eager undo + age-based resolution
-    "redirect+lazy+timestamp+width2",  # overlapped validating commits
+    "redirect+lazy+stall",      # SUV-VM + lazy conflict detection
+    "undo+eager+timestamp",     # eager undo + age-based resolution
+    "redirect+lazy+timestamp",  # validating commits + age-based resolution
 ]
 
 
@@ -66,24 +66,15 @@ def test_hybrids_are_deterministic_per_seed():
 
 
 def test_suv_lazy_hybrid_validates_and_publishes():
-    res = _run("redirect+lazy+stall+serial", workload="synthetic", seed=7)
+    res = _run("redirect+lazy+stall", workload="synthetic", seed=7)
     stats = res.scheme_stats
     assert stats["published_lines"] > 0
     # lazy detection means doomed work shows up as validation failures
     # and aborts rather than eager stalls at access time
     assert res.aborts > 0
     assert res.policy_axes == {
-        "vm": "redirect", "cd": "lazy",
-        "resolution": "stall", "arbitration": "serial",
+        "vm": "redirect", "cd": "lazy", "resolution": "stall",
     }
-
-
-def test_width_arbitration_changes_timing_but_not_results():
-    serial = _run("redirect+lazy+stall+serial", workload="synthetic", seed=7)
-    wide = _run("redirect+lazy+stall+width4", workload="synthetic", seed=7)
-    assert serial.memory == wide.memory  # same functional outcome
-    assert serial.commits == wide.commits
-    assert wide.policy_axes["arbitration"] == "width4"
 
 
 def test_spec_accepts_axes_mapping():
@@ -92,9 +83,9 @@ def test_spec_accepts_axes_mapping():
         scheme={"vm": "redirect", "cd": "lazy"},
         scale="tiny", cores=4,
     )
-    assert spec.scheme == "redirect+lazy+stall+serial"
+    assert spec.scheme == "redirect+lazy+stall"
     named = ExperimentSpec(
-        "ssca2", scheme="redirect+lazy+stall+serial", scale="tiny", cores=4
+        "ssca2", scheme="redirect+lazy+stall", scale="tiny", cores=4
     )
     assert spec.spec_hash() == named.spec_hash()
     with pytest.raises(IncompatiblePolicyError):
@@ -112,41 +103,37 @@ def test_matrix_sweeps_axes_and_skips_illegal_combos():
     schemes = [spec.scheme for spec in matrix.specs()]
     # undo+lazy and flash+lazy are physically impossible and skipped
     assert schemes == [
-        "undo+eager+stall+serial",
-        "redirect+eager+stall+serial",
-        "redirect+lazy+stall+serial",
-        "buffer+eager+stall+serial",
-        "buffer+lazy+stall+serial",
+        "undo+eager+stall",
+        "redirect+eager+stall",
+        "redirect+lazy+stall",
+        "buffer+eager+stall",
+        "buffer+lazy+stall",
     ]
     with pytest.raises(IncompatiblePolicyError):
         RunMatrix(workloads=("ssca2",), vms=("undo",), cds=("lazy",)).specs()
 
 
 def test_canonical_scheme_honours_config_resolution_and_arbitration():
-    # the resolution/arbitration axes reach canonical schemes through
-    # HTMConfig, so specs can sweep them without composed names
+    # the resolution axis reaches canonical schemes through HTMConfig,
+    # so specs can sweep it without composed names; lazy commits always
+    # take the serial token, so there is no arbitration to configure
     res = _run("suv", resolution="timestamp")
-    assert res.policy_axes["resolution"] == "timestamp"
-    wide = _run("dyntm+suv", arbitration="width2")
-    assert wide.policy_axes["arbitration"] == "width2"
-    assert wide.commits > 0
-    # a named scheme passes its composed spelling's legality check:
-    # buffer+eager commits never arbitrate, so a width is refused
-    with pytest.raises(IncompatiblePolicyError):
-        _run("lazy", arbitration="width2")
+    assert res.policy_axes == {
+        "vm": "redirect", "cd": "eager", "resolution": "timestamp",
+    }
 
 
 def test_composed_name_fills_the_spec_axes():
     # one run, one spec: the direct spec and the matrix spec hash equal
-    direct = ExperimentSpec("ssca2", scheme="redirect+lazy+stall+width2")
-    assert direct.arbitration == "width2"
+    direct = ExperimentSpec("ssca2", scheme="redirect+lazy+timestamp")
+    assert direct.resolution == "timestamp"
     (matrix,) = RunMatrix(
-        workloads=("ssca2",), schemes=("redirect+lazy+stall+width2",)
+        workloads=("ssca2",), schemes=("redirect+lazy+timestamp",)
     ).specs()
     assert matrix.spec_hash() == direct.spec_hash()
     # a spec must not claim an axis value its scheme does not run
     with pytest.raises(ValueError, match="resolution"):
         ExperimentSpec(
-            "ssca2", scheme="redirect+lazy+stall+serial",
+            "ssca2", scheme="redirect+lazy+stall",
             resolution="timestamp",
         )

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.policy import (
-    ARBITRATION_AXIS,
     CD_AXIS,
     RESOLUTION_AXIS,
     VM_AXIS,
@@ -68,14 +67,13 @@ def test_axis_registers_the_new_managers():
         assert name in RESOLUTION_AXIS
 
 
-def test_legal_space_is_140_of_315():
-    # 5 VMs × 3 CDs × 7 resolutions × 3 arbitrations = 315 combinations;
-    # eager is serial-only (5×7), lazy admits buffer/redirect (2×7×3),
-    # adaptive admits undo/flash/redirect (3×7×3) → (5 + 6 + 9) × 7
-    assert len(VM_AXIS) * len(CD_AXIS) * len(RESOLUTION_AXIS) \
-        * len(ARBITRATION_AXIS) == 315
-    assert len(list(iter_scheme_space())) == 315
-    assert len(legal_combinations()) == 140
+def test_legal_space_is_70_of_105():
+    # 5 VMs × 3 CDs × 7 resolutions = 105 combinations; eager admits
+    # all five VMs, lazy buffer/redirect, adaptive undo/flash/redirect
+    # → (5 + 2 + 3) × 7
+    assert len(VM_AXIS) * len(CD_AXIS) * len(RESOLUTION_AXIS) == 105
+    assert len(list(iter_scheme_space())) == 105
+    assert len(legal_combinations()) == 70
 
 
 def test_new_managers_compose_across_every_legal_vm_cd():

@@ -1,4 +1,4 @@
-"""The four-axis policy decomposition: legality, parsing, scheme names."""
+"""The three-axis policy decomposition: legality, parsing, scheme names."""
 
 import dataclasses
 
@@ -7,7 +7,6 @@ import pytest
 from repro.config import HTMConfig, SimConfig
 from repro.errors import IncompatiblePolicyError, UnknownSchemeError
 from repro.htm.policy import (
-    ARBITRATION_AXIS,
     CD_AXIS,
     NAMED_SCHEMES,
     RESOLUTION_AXIS,
@@ -16,7 +15,6 @@ from repro.htm.policy import (
     compose_scheme,
     iter_scheme_space,
     legal_combinations,
-    parse_width,
 )
 from repro.htm.vm import (
     available_schemes,
@@ -37,7 +35,6 @@ def _hierarchy(config: SimConfig) -> MemoryHierarchy:
 def test_space_is_the_full_cross_product():
     assert len(ALL_COMBOS) == (
         len(VM_AXIS) * len(CD_AXIS) * len(RESOLUTION_AXIS)
-        * len(ARBITRATION_AXIS)
     )
     assert len(set(ALL_COMBOS)) == len(ALL_COMBOS)
 
@@ -61,11 +58,10 @@ def test_every_combination_instantiates_or_raises_typed(comp):
 
 def test_legal_combinations_counts_by_cd_axis():
     legal = legal_combinations()
+    assert len(legal) == 70
     by_cd = {cd: [c for c in legal if c.cd == cd] for cd in CD_AXIS}
-    # eager: all five VMs (mvsuv included), but arbitrated (lazy-commit)
-    # paths never run
+    # eager: all five VMs (mvsuv included)
     assert len(by_cd["eager"]) == 5 * len(RESOLUTION_AXIS)
-    assert all(c.arbitration == "serial" for c in by_cd["eager"])
     # lazy: only invisible-until-commit VMs qualify
     assert {c.vm for c in by_cd["lazy"]} == {"buffer", "redirect"}
     # adaptive: needs an overflow-tolerant eager fallback
@@ -78,11 +74,11 @@ def test_legal_combinations_counts_by_cd_axis():
 # -- composition value ----------------------------------------------------
 
 def test_compose_scheme_normalizes_and_validates():
-    assert compose_scheme() == "redirect+eager+stall+serial"
+    assert compose_scheme() == "redirect+eager+stall"
     assert (compose_scheme(vm="Redirect", cd="LAZY")
-            == "redirect+lazy+stall+serial")
+            == "redirect+lazy+stall")
     assert (compose_scheme(resolution="abort-requester")
-            == "redirect+eager+abort_requester+serial")
+            == "redirect+eager+abort_requester")
     with pytest.raises(IncompatiblePolicyError):
         compose_scheme(vm="undo", cd="lazy")
 
@@ -90,25 +86,17 @@ def test_compose_scheme_normalizes_and_validates():
 def test_parse_rejects_non_composition_shapes():
     assert SchemeComposition.parse("dyntm+suv") is None
     assert SchemeComposition.parse("suv") is None
-    assert SchemeComposition.parse("a+b+c+d+e") is None
-    comp = SchemeComposition.parse("undo+eager+stall+serial")
+    assert SchemeComposition.parse("a+b+c+d") is None
+    assert SchemeComposition.parse("undo+eager+stall+serial") is None
+    comp = SchemeComposition.parse("undo+eager+stall")
     assert comp is not None and comp.vm == "undo"
 
 
 def test_from_value_accepts_mapping_and_rejects_unknown_axis():
     comp = SchemeComposition.from_value({"vm": "redirect", "cd": "lazy"})
-    assert comp.name == "redirect+lazy+stall+serial"
+    assert comp.name == "redirect+lazy+stall"
     with pytest.raises(IncompatiblePolicyError):
         SchemeComposition.from_value({"vm": "redirect", "nope": "x"})
-
-
-def test_parse_width():
-    assert parse_width("serial") == 1
-    assert parse_width("width2") == 2
-    assert parse_width("width16") == 16
-    for bad in ("width1", "width", "widthx", "token"):
-        with pytest.raises(IncompatiblePolicyError):
-            parse_width(bad)
 
 
 def test_canonical_axes_cover_every_registered_scheme():
@@ -126,9 +114,9 @@ def test_resolve_scheme_name_prefers_registered_aliases():
     # two-token names stay canonical aliases, not compositions
     assert resolve_scheme_name("dyntm+suv") == "dyntm+suv"
     assert resolve_scheme_name("DYNTM_SUV") == "dyntm+suv"
-    # four-token names canonicalize through the composition parser
-    assert (resolve_scheme_name("Redirect+Lazy+Stall+Serial")
-            == "redirect+lazy+stall+serial")
+    # three-token names canonicalize through the composition parser
+    assert (resolve_scheme_name("Redirect+Lazy+Stall")
+            == "redirect+lazy+stall")
 
 
 def test_unknown_scheme_error_is_typed_with_suggestions():
@@ -139,17 +127,24 @@ def test_unknown_scheme_error_is_typed_with_suggestions():
     assert "suv" in err.value.suggestions
     assert "did you mean" in str(err.value)
     assert "logtm-se" in str(err.value)  # lists the named schemes
+    # a composed name has exactly three axes: the old arbitration
+    # token is refused, with the three-token name as the suggestion
+    for four_token in ("redirect+lazy+stall+serial",
+                       "redirect+lazy+stall+width2"):
+        with pytest.raises(UnknownSchemeError) as err:
+            resolve_scheme_name(four_token)
+        assert "redirect+lazy+stall" in err.value.suggestions
 
 
 def test_make_version_manager_builds_composed_schemes():
     config = SimConfig(n_cores=4)
     vm = make_version_manager(
-        "redirect+lazy+stall+serial", config, _hierarchy(config)
+        "redirect+lazy+stall", config, _hierarchy(config)
     )
-    assert vm.name == "redirect+lazy+stall+serial"
+    assert vm.name == "redirect+lazy+stall"
     with pytest.raises(IncompatiblePolicyError):
         make_version_manager(
-            "undo+lazy+stall+serial", config, _hierarchy(config)
+            "undo+lazy+stall", config, _hierarchy(config)
         )
 
 
@@ -169,6 +164,9 @@ def test_htmconfig_policy_spelling_is_removed():
     # ``resolution=`` is the only spelling of the resolution axis
     with pytest.raises(TypeError):
         HTMConfig(policy="stall")
+    # lazy commits always take the serial token: no arbitration field
+    with pytest.raises(TypeError):
+        HTMConfig(arbitration="serial")
     assert HTMConfig(resolution="abort_requester").resolution == (
         "abort_requester"
     )
@@ -177,14 +175,10 @@ def test_htmconfig_policy_spelling_is_removed():
 def test_htmconfig_rejects_conflicts_and_unknowns():
     with pytest.raises(ValueError, match="resolution"):
         HTMConfig(resolution="nope")
-    with pytest.raises(ValueError, match="arbitration"):
-        HTMConfig(arbitration="width1")
 
 
 def test_htmconfig_defaults_resolution_to_stall():
     assert HTMConfig().resolution == "stall"
-    assert HTMConfig().arbitration == "serial"
-    assert HTMConfig(arbitration="width4").arbitration == "width4"
     cfg = HTMConfig(resolution="abort_responder")
     again = dataclasses.replace(cfg, checkpoint_cycles=8)
     assert again.resolution == "abort_responder"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runner import ExperimentSpec, RunMatrix
+from repro.errors import UnknownSchemeError
+from repro.runner import ExperimentSpec, RunMatrix, execute_spec
 
 
 def test_spec_is_hashable_and_usable_as_dict_key():
@@ -63,6 +64,19 @@ def test_spec_policy_kwarg_is_removed():
     spec = ExperimentSpec("genome", resolution="abort_requester")
     assert spec.resolution == "abort_requester"
     assert spec.spec_hash() != ExperimentSpec("genome").spec_hash()
+    # lazy commits always take the serial token: no arbitration field,
+    # and a four-token composed name is not a scheme
+    with pytest.raises(TypeError):
+        ExperimentSpec("ssca2", arbitration="serial")
+    for four_token in ("redirect+lazy+stall+serial",
+                       "redirect+lazy+stall+width2"):
+        with pytest.raises(UnknownSchemeError):
+            execute_spec(ExperimentSpec(
+                "ssca2", scheme=four_token, scale="tiny", cores=4
+            ))
+    # a journal written before the axis went still loads
+    old = dict(ExperimentSpec("ssca2").to_dict(), arbitration="serial")
+    assert ExperimentSpec.from_dict(old) == ExperimentSpec("ssca2")
 
 
 def test_build_config_rejects_unknown_paths():

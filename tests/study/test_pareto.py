@@ -22,10 +22,10 @@ def pt(scheme, cycles, aborts=0, pool=0):
     )
 
 
-A = "redirect+eager+stall+serial"
-B = "redirect+lazy+stall+width2"
-C = "undo+eager+greedy+serial"
-D = "buffer+lazy+karma+width4"
+A = "redirect+eager+stall"
+B = "redirect+lazy+stall"
+C = "undo+eager+greedy"
+D = "buffer+lazy+karma"
 
 
 class TestDominates:
@@ -95,8 +95,7 @@ class TestParetoFront:
 class TestAxes:
     def test_point_exposes_its_axes(self):
         assert pt(D, 1).axes == {
-            "vm": "buffer", "cd": "lazy",
-            "resolution": "karma", "arbitration": "width4",
+            "vm": "buffer", "cd": "lazy", "resolution": "karma",
         }
 
     def test_as_dict_flattens_axes_and_objectives(self):
@@ -120,10 +119,11 @@ class TestDominatedAxisValues:
 
     def test_one_front_appearance_clears_a_value(self):
         fronts = {"w1": [pt(A, 1)], "w2": [pt(B, 1), pt(D, 9)]}
+        # karma reaches a front only through D, on one workload
         dead = dominated_axis_values(
-            fronts, {"arbitration": ["serial", "width2", "width4"]}
+            fronts, {"resolution": ["stall", "karma"]}
         )
-        assert dead["arbitration"] == []
+        assert dead["resolution"] == []
 
     def test_empty_fronts_condemn_everything(self):
         dead = dominated_axis_values({}, {"cd": ["eager", "lazy"]})

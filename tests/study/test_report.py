@@ -24,8 +24,8 @@ from repro.study import (
     write_study,
 )
 
-SCHEME_A = "redirect+eager+stall+serial"
-SCHEME_B = "redirect+eager+greedy+serial"
+SCHEME_A = "redirect+eager+stall"
+SCHEME_B = "redirect+eager+greedy"
 
 
 def result(cycles, aborts=0, pool=0):

@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import IncompatiblePolicyError
 from repro.htm.policy import (
-    ARBITRATION_AXIS,
     CD_AXIS,
     RESOLUTION_AXIS,
     VM_AXIS,
     legal_combinations,
 )
-from repro.study import StudySpace
+from repro.study import StudySpace, run_study
 
 
 def test_default_space_is_the_full_legal_space():
@@ -18,7 +17,6 @@ def test_default_space_is_the_full_legal_space():
     assert space.vms == VM_AXIS
     assert space.cds == CD_AXIS
     assert space.resolutions == RESOLUTION_AXIS
-    assert space.arbitrations == ARBITRATION_AXIS
     assert len(space.combos()) == len(legal_combinations())
 
 
@@ -28,7 +26,7 @@ def test_axis_filters_slice_the_legal_space():
         resolutions=("stall", "greedy"),
     )
     combos = space.combos()
-    # eager is serial-only: redirect × eager × {stall, greedy} × serial
+    # redirect × eager × {stall, greedy}
     assert len(combos) == 2
     assert all(c.vm == "redirect" and c.cd == "eager" for c in combos)
 
@@ -37,7 +35,7 @@ def test_illegal_slices_are_dropped_not_raised():
     # lazy excludes undo; the cross product contains only illegal pairs
     # until redirect joins the vm filter
     space = StudySpace(workloads=("starve",), vms=("undo", "redirect"),
-                       cds=("lazy",), arbitrations=("serial",))
+                       cds=("lazy",))
     assert {c.vm for c in space.combos()} == {"redirect"}
 
 
@@ -61,7 +59,9 @@ def test_specs_cover_workloads_x_combos_x_seeds():
     assert len(specs) == 2 * 1 * 2
     assert {s.workload for s in specs} == {"starve", "ssca2"}
     assert {s.seed for s in specs} == {1, 2}
-    assert all(s.scheme == "redirect+eager+stall+serial" for s in specs)
+    assert all(s.scheme == "redirect+eager+stall" for s in specs)
+    # every study run has the atomicity oracle armed
+    assert all(s.check for s in specs)
 
 
 def test_axis_filters_dedup_but_keep_order():
@@ -79,3 +79,15 @@ def test_describe_is_json_safe_and_complete():
     assert desc["axes"]["vm"] == ["redirect"]
     assert desc["combos"] == len(space.combos())
     assert desc["seeds"] == [1]
+
+
+def test_study_reports_an_oracle_violation_as_a_failure_not_a_rank():
+    space = StudySpace(
+        workloads=("synthetic",), seeds=(1,), cores=16,
+        vms=("flash",), cds=("adaptive",), resolutions=("stall",),
+    )
+    doc = run_study(space, jobs=1)
+    (failure,) = doc["failures"]
+    assert failure["label"].startswith("synthetic/flash+adaptive+stall ")
+    assert "OracleViolation" in failure["error"]
+    assert doc["per_workload"]["synthetic"]["ranking"] == []

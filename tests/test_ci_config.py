@@ -10,6 +10,7 @@ passed to ``--schemes`` are resolved here too, so a removed alias fails
 locally rather than on GitHub.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -19,6 +20,9 @@ GITHUB = Path(__file__).resolve().parent.parent / ".github"
 CI = GITHUB / "workflows" / "ci.yml"
 NIGHTLY = GITHUB / "workflows" / "nightly-study.yml"
 SETUP = GITHUB / "actions" / "setup-repro" / "action.yml"
+KNOWN_VIOLATIONS = (
+    GITHUB.parent / "tests" / "data" / "oracle_known_violations.json"
+)
 
 #: exact semver tag, e.g. ``actions/checkout@v4.2.2``
 EXACT = re.compile(r"^v\d+\.\d+\.\d+$")
@@ -153,3 +157,22 @@ def test_workflow_scheme_names_resolve():
                 checked += 1
                 resolve_scheme_name(name)  # raises on a stale name
     assert checked, "no --schemes lists found — wrong path?"
+
+
+def test_ci_sweeps_every_legal_name_under_the_oracle():
+    job = CI.read_text().split("\n  oracle-sweep:")[1]
+    assert "--check" in job and "--retries 0" in job
+    assert "schemes --list" in job  # every legal composed name
+    assert "--cores \"$cores\"" in job and "for cores in 4 16" in job
+    assert "tests/data/oracle_known_violations.json" in job
+
+
+def test_known_oracle_violations_name_real_runs():
+    # the ratchet list must stay resolvable, or a renamed scheme would
+    # turn every listed run into a "now passes" failure on GitHub
+    known = json.loads(KNOWN_VIOLATIONS.read_text())
+    for run in known:
+        assert set(run) == {"workload", "scheme", "seed", "cores"}
+        assert resolve_scheme_name(run["scheme"]) == run["scheme"]
+        assert run["seed"] in (1, 2, 3) and run["cores"] in (4, 16)
+    assert len({tuple(sorted(r.items())) for r in known}) == len(known)

@@ -242,9 +242,9 @@ def test_schemes_list_json_smoke(capsys):
 
     assert main(["schemes", "--list", "--json"]) == 0
     names = json.loads(capsys.readouterr().out)
-    assert "redirect+lazy+stall+serial" in names
-    assert "undo+eager+timestamp+serial" in names
-    assert "undo+lazy+stall+serial" not in names  # illegal: not listed
+    assert "redirect+lazy+stall" in names
+    assert "undo+eager+timestamp" in names
+    assert "undo+lazy+stall" not in names  # illegal: not listed
 
     assert main(["schemes", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -263,11 +263,11 @@ def test_schemes_markdown_matches_registry(capsys):
 
 
 def test_run_accepts_composed_scheme_name(capsys):
-    rc = main(["run", "ssca2", "redirect+lazy+stall+serial",
+    rc = main(["run", "ssca2", "redirect+lazy+stall",
                "--scale", "tiny", "--cores", "4", "--check"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "axes: vm=redirect cd=lazy resolution=stall arbitration=serial" in out
+    assert "axes: vm=redirect cd=lazy resolution=stall\n" in out
     assert "oracle: PASSED" in out
 
 
@@ -276,7 +276,7 @@ def test_run_composes_scheme_from_axis_flags(capsys):
                "--scale", "tiny", "--cores", "4"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "under undo+eager+timestamp+serial" in out
+    assert "under undo+eager+timestamp" in out
 
 
 def test_run_rejects_unknown_and_illegal_schemes(capsys):
@@ -284,8 +284,17 @@ def test_run_rejects_unknown_and_illegal_schemes(capsys):
         build_parser().parse_args(["run", "ssca2", "sub"])
     assert "did you mean" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "ssca2", "undo+lazy+stall+serial"])
+        build_parser().parse_args(["run", "ssca2", "undo+lazy+stall"])
     assert "coherence" in capsys.readouterr().err
+    # four-token names and the arbitration flag are gone
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["run", "ssca2", "redirect+lazy+stall+serial"]
+        )
+    assert "did you mean 'redirect+lazy+stall'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "ssca2", "--arbitration", "serial"])
+    assert "unrecognized arguments: --arbitration" in capsys.readouterr().err
 
 
 def test_matrix_sweeps_policy_axes(capsys, tmp_path):
@@ -295,5 +304,5 @@ def test_matrix_sweeps_policy_axes(capsys, tmp_path):
                "--cache-dir", str(tmp_path / "cache"), "--quiet"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "redirect+lazy+stall+serial" in out
-    assert "buffer+lazy+stall+serial" in out
+    assert "redirect+lazy+stall" in out
+    assert "buffer+lazy+stall" in out

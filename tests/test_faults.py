@@ -174,7 +174,7 @@ def test_injector_requires_known_handler():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "scheme",
-    ["suv", "logtm-se", "lazy", "dyntm+suv", "redirect+lazy+stall+serial"],
+    ["suv", "logtm-se", "lazy", "dyntm+suv", "redirect+lazy+stall"],
 )
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_preserve_correctness(scheme, preset):
@@ -192,7 +192,7 @@ def test_fault_campaign_covers_suv_lazy_hybrid(workload, plan):
     from repro.runner import ExperimentSpec, execute_spec
 
     spec = ExperimentSpec(
-        workload=workload, scheme="redirect+lazy+stall+serial",
+        workload=workload, scheme="redirect+lazy+stall",
         scale="tiny", cores=4, fault_plan=plan, check=True,
     )
     res = execute_spec(spec)
@@ -202,8 +202,8 @@ def test_fault_campaign_covers_suv_lazy_hybrid(workload, plan):
 
 @pytest.mark.parametrize(
     "scheme",
-    ["suv", "redirect+eager+stall+serial", "redirect+lazy+stall+serial",
-     "redirect+adaptive+stall+serial", "mvsuv+eager+stall+serial"],
+    ["suv", "redirect+eager+stall", "redirect+lazy+stall",
+     "redirect+adaptive+stall", "mvsuv+eager+stall"],
 )
 @pytest.mark.parametrize("plan", ["table-squeeze", "pool-pressure", "sig-storm"])
 def test_redirect_faults_reach_every_redirect_composition(scheme, plan):
