@@ -341,7 +341,8 @@ class StallResolution(ConflictResolution):
                 sim._begin_abort(core)
                 return
             sim._doom(victim_idx, 0)
-        sim._stall_on(core, holder_idx, op)
+        # dooming a stalled member unstalls it: no cycle is left open
+        sim._stall_on(core, holder_idx, op, cycle_checked=True)
 
 
 class AbortRequesterResolution(ConflictResolution):

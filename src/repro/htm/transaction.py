@@ -86,15 +86,21 @@ class TxFrame:
         )
 
     # ------------------------------------------------------------------
-    def record_read(self, line: int) -> None:
-        if line not in self.read_lines:
-            self.read_lines.add(line)
-            self.read_sig.add(line)
+    def record_read(self, line: int) -> bool:
+        """Add ``line`` to the read set; True when it was new."""
+        if line in self.read_lines:
+            return False
+        self.read_lines.add(line)
+        self.read_sig.add(line)
+        return True
 
-    def record_write(self, line: int) -> None:
-        if line not in self.write_lines:
-            self.write_lines.add(line)
-            self.write_sig.add(line)
+    def record_write(self, line: int) -> bool:
+        """Add ``line`` to the write set; True when it was new."""
+        if line in self.write_lines:
+            return False
+        self.write_lines.add(line)
+        self.write_sig.add(line)
+        return True
 
     def merge_child(self, child: "TxFrame") -> None:
         """Closed-nested commit: fold a child frame into this one."""

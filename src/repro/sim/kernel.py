@@ -10,12 +10,21 @@ semantics allow:
 
 * :class:`Event` is a ``__slots__`` class and the heap is keyed by plain
   ``(time, seq)`` tuples, so ``heapq`` compares tuples in C instead of
-  calling a generated dataclass ``__lt__``;
+  calling a generated dataclass ``__lt__``; the key lives only in the
+  queue entry, never on the event;
 * **zero-delay events skip the heap**: an event scheduled for the
-  current cycle goes to a FIFO of ``(seq, event)`` pairs.  Delivery
-  interleaves the FIFO with the heap strictly by ``(time, seq)``, so
-  the executed order is *identical* to an all-heap queue — the fast
-  path can change host time only, never simulated order;
+  current cycle goes to a FIFO of ``(time, seq, event)`` entries.
+  Delivery interleaves the FIFO with the heap strictly by
+  ``(time, seq)``, so the executed order is *identical* to an all-heap
+  queue — the fast path can change host time only, never simulated
+  order;
+* **parked events re-arm in the kernel**: a periodic event whose
+  callback would only schedule itself again one period later can be
+  :meth:`Event.park`-ed.  When it reaches the front the queue re-keys
+  it to ``(time + period, seq)``, drawing ``seq`` exactly as
+  :meth:`EventQueue.schedule` would from inside the callback, and counts
+  the re-arm as one executed event — the same order and count as the
+  rescheduling chain, without calling back into Python;
 * the live-event count is maintained incrementally (``__len__`` is
   O(1)) and :attr:`peak_queue` tracks **live** events only — cancelled
   events awaiting pop are queue garbage, not queue pressure;
@@ -27,15 +36,17 @@ semantics allow:
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable
 
 from repro.errors import BudgetExhausted
 
-# Event lifecycle states (ints, not an enum: this is the hot path)
+# Event lifecycle states (ints, not an enum: this is the hot path).
+# _PENDING is 0 so "not pending" is one truth test in the drain loop.
 _PENDING = 0
 _DONE = 1
 _CANCELLED = 2
+_PARKED = 3
 
 #: rebuild the heap once it holds this many cancelled entries *and*
 #: they outnumber the live ones (amortized O(1) per cancel)
@@ -43,15 +54,14 @@ _COMPACT_MIN = 64
 
 
 class Event:
-    """A scheduled callback.  Ordering key is ``(time, seq)``."""
+    """A scheduled callback; its ``(time, seq)`` key lives in the queue."""
 
-    __slots__ = ("time", "seq", "fn", "_state", "_queue")
+    __slots__ = ("fn", "period", "_state", "_queue")
 
-    def __init__(self, time: int, seq: int, fn: Callable[[], None],
+    def __init__(self, fn: Callable[[], None],
                  queue: "EventQueue | None" = None) -> None:
-        self.time = time
-        self.seq = seq
         self.fn = fn
+        self.period = 0
         self._state = _PENDING
         self._queue = queue
 
@@ -59,9 +69,13 @@ class Event:
     def cancelled(self) -> bool:
         return self._state == _CANCELLED
 
+    @property
+    def parked(self) -> bool:
+        return self._state == _PARKED
+
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
-        if self._state != _PENDING:
+        if self._state != _PENDING and self._state != _PARKED:
             return
         self._state = _CANCELLED
         q = self._queue
@@ -70,6 +84,26 @@ class Event:
             q._dead += 1
             q._maybe_compact()
 
+    def park(self, period: int) -> None:
+        """Re-arm this event every ``period`` cycles instead of firing it.
+
+        Each time the parked event reaches the front of the queue it is
+        re-keyed ``period`` cycles later with a fresh ``seq`` — what its
+        callback would do by rescheduling itself — until :meth:`unpark`
+        or :meth:`cancel`.
+        """
+        if self._state != _PENDING:
+            raise ValueError("only a pending event can be parked")
+        if period <= 0:
+            raise ValueError(f"park period must be positive, got {period}")
+        self._state = _PARKED
+        self.period = period
+
+    def unpark(self) -> None:
+        """Fire the callback at the event's current slot again."""
+        if self._state == _PARKED:
+            self._state = _PENDING
+
 
 class EventQueue:
     """Deterministic priority queue of :class:`Event` objects."""
@@ -77,8 +111,8 @@ class EventQueue:
     def __init__(self) -> None:
         #: (time, seq, event) triples — tuple ordering, no Event.__lt__
         self._heap: list[tuple[int, int, Event]] = []
-        #: (seq, event) FIFO of events scheduled for the *current* cycle;
-        #: always drained before ``now`` may advance
+        #: (time, seq, event) FIFO of events scheduled for the *current*
+        #: cycle; always drained before ``now`` may advance
         self._zero: list[tuple[int, int, Event]] = []
         self._zero_head = 0
         self._seq = 0
@@ -100,18 +134,16 @@ class EventQueue:
         self._seq = seq + 1
         # Event.__init__ bypassed: schedule() runs once or twice per
         # simulated event, and the constructor call frame is pure
-        # overhead for five slot stores
+        # overhead for three slot stores (``period`` is only read once
+        # park() has set it)
         ev = Event.__new__(Event)
         ev.fn = fn
         ev._state = _PENDING
         ev._queue = self
-        ev.seq = seq
         if delay == 0:
-            ev.time = now = self.now
-            self._zero.append((now, seq, ev))
+            self._zero.append((self.now, seq, ev))
         else:
-            ev.time = when = self.now + int(delay)
-            heappush(self._heap, (when, seq, ev))
+            heappush(self._heap, (self.now + int(delay), seq, ev))
         live = self._live + 1
         self._live = live
         if live > self.peak_queue:
@@ -129,9 +161,9 @@ class EventQueue:
             return
         # compact IN PLACE: run()'s inner loop holds local aliases of
         # both lists, so rebinding self._heap/self._zero here would
-        # silently detach them
+        # silently detach them.  Parked events are live and stay.
         self._heap[:] = [
-            item for item in self._heap if item[2]._state == _PENDING
+            item for item in self._heap if item[2]._state != _CANCELLED
         ]
         heapq.heapify(self._heap)
         start = self._zero_head
@@ -139,16 +171,17 @@ class EventQueue:
             del self._zero[:start]
             self._zero_head = 0
         self._zero[:] = [
-            item for item in self._zero if item[2]._state == _PENDING
+            item for item in self._zero if item[2]._state != _CANCELLED
         ]
         self._dead = 0
 
-    def _pop_next(self) -> Event | None:
-        """The next live event in strict ``(time, seq)`` order, or None.
+    def _front(self) -> tuple[int, int, Event] | None:
+        """The next live entry in strict ``(time, seq)`` order, or None.
 
-        The zero-FIFO holds only events stamped with the current ``now``,
-        and every heap entry has ``time >= now``; comparing the two front
-        keys therefore reproduces exactly the order a single heap would
+        Cancelled entries in front of it are dropped.  The zero-FIFO
+        holds only entries stamped with the current ``now``, and every
+        heap entry has ``time >= now``; comparing the two front keys
+        therefore reproduces exactly the order a single heap would
         deliver.
         """
         heap = self._heap
@@ -158,56 +191,66 @@ class EventQueue:
             # (time, seq) is globally unique, so comparing the triples
             # never reaches the Event element
             if zi < len(zero) and (not heap or heap[0] > zero[zi]):
-                ev = zero[zi][2]
-                self._zero_head = zi + 1
-                if self._zero_head >= len(zero):
-                    del zero[:]
-                    self._zero_head = 0
+                item = zero[zi]
+                if item[2]._state != _CANCELLED:
+                    return item
+                self._advance_zero()
             elif heap:
-                ev = heappop(heap)[2]
+                item = heap[0]
+                if item[2]._state != _CANCELLED:
+                    return item
+                heappop(heap)
             else:
                 return None
-            if ev._state == _PENDING:
-                return ev
             # cancelled entry finally popped: no longer dead weight
             self._dead -= 1
 
-    def _peek_next(self) -> Event | None:
-        """The next live event without removing it (budget checks)."""
-        heap = self._heap
+    def _advance_zero(self) -> None:
+        zi = self._zero_head + 1
+        if zi >= len(self._zero):
+            del self._zero[:]
+            zi = 0
+        self._zero_head = zi
+
+    def _fire(self, item: tuple[int, int, Event]) -> None:
+        """Execute the front entry ``item`` from :meth:`_front`: re-arm
+        it if parked, else run its callback."""
+        when, _, ev = item
+        self.now = when
         zero = self._zero
-        while True:
-            zi = self._zero_head
-            if zi < len(zero) and (not heap or heap[0] > zero[zi]):
-                ev = zero[zi][2]
-                if ev._state == _PENDING:
-                    return ev
-                self._zero_head = zi + 1
-                self._dead -= 1
-            elif heap:
-                ev = heap[0][2]
-                if ev._state == _PENDING:
-                    return ev
-                heappop(heap)
-                self._dead -= 1
+        from_zero = self._zero_head < len(zero) and zero[self._zero_head] is item
+        if ev._state == _PARKED:
+            seq = self._seq
+            self._seq = seq + 1
+            entry = (when + ev.period, seq, ev)
+            if from_zero:
+                self._advance_zero()
+                heappush(self._heap, entry)
             else:
-                return None
+                heapreplace(self._heap, entry)
+            return
+        if from_zero:
+            self._advance_zero()
+        else:
+            heappop(self._heap)
+        ev._state = _DONE
+        self._live -= 1
+        ev.fn()
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next live event; returns False when the queue is empty."""
-        ev = self._pop_next()
-        if ev is None:
+        """Execute the next live event (a parked one re-arms); returns
+        False when the queue is empty."""
+        item = self._front()
+        if item is None:
             return False
-        ev._state = _DONE
-        self._live -= 1
-        self.now = ev.time
-        ev.fn()
+        self._fire(item)
         return True
 
     def run(self, max_events: int | None = None, max_time: int | None = None) -> int:
         """Drain the queue; returns the number of events executed.
 
+        A parked event's re-arm counts as one executed event.
         ``max_events``/``max_time`` guard against runaway simulations
         (e.g. a livelocked conflict-resolution policy under test).
         """
@@ -216,58 +259,75 @@ class EventQueue:
             # fast path (also covers a pure event budget): no peek per
             # event — the budget check is one int compare, and the next
             # event is only peeked once the budget is actually hit, to
-            # distinguish "drained" from "exhausted"
+            # distinguish "drained" from "exhausted".  _front/_fire are
+            # inlined: this loop is the innermost loop of the whole
+            # simulator (see the module docstring)
             budget = -1 if max_events is None else max_events
             heap = self._heap
             zero = self._zero
             while True:
                 if executed == budget:
-                    if self._peek_next() is None:
+                    if self._front() is None:
                         return executed
                     raise BudgetExhausted(
                         f"event budget exhausted ({max_events} events)",
                         cycle=self.now, events=executed,
                     )
-                # _pop_next inlined: this loop is the innermost loop of
-                # the whole simulator (see the module docstring)
-                while True:
+                # the FIFO is cleared once drained, so a non-empty FIFO
+                # always has an entry at its head
+                if zero and (not heap or heap[0] > zero[self._zero_head]):
                     zi = self._zero_head
-                    if zi < len(zero) and (not heap or heap[0] > zero[zi]):
-                        ev = zero[zi][2]
-                        self._zero_head = zi + 1
-                        if self._zero_head >= len(zero):
-                            del zero[:]
-                            self._zero_head = 0
-                    elif heap:
-                        ev = heappop(heap)[2]
-                    else:
-                        return executed
-                    if ev._state == _PENDING:
-                        break
-                    self._dead -= 1
+                    when, _, ev = zero[zi]
+                    if ev._state:
+                        # parked (rare here) or cancelled: the general path
+                        if ev._state == _PARKED:
+                            self._fire(zero[zi])
+                            executed += 1
+                        else:
+                            self._advance_zero()
+                            self._dead -= 1
+                        continue
+                    zi += 1
+                    if zi >= len(zero):
+                        del zero[:]
+                        zi = 0
+                    self._zero_head = zi
+                elif heap:
+                    when, _, ev = heap[0]
+                    if ev._state:
+                        if ev._state == _PARKED:
+                            # re-arm in place: the key the rescheduling
+                            # callback would have drawn, no callback
+                            seq = self._seq
+                            self._seq = seq + 1
+                            self.now = when
+                            heapreplace(heap, (when + ev.period, seq, ev))
+                            executed += 1
+                        else:
+                            heappop(heap)
+                            self._dead -= 1
+                        continue
+                    heappop(heap)
+                else:
+                    return executed
                 ev._state = _DONE
                 self._live -= 1
-                self.now = ev.time
+                self.now = when
                 ev.fn()
                 executed += 1
         while True:
-            nxt = self._peek_next()
-            if nxt is None:
+            item = self._front()
+            if item is None:
                 return executed
             if max_events is not None and executed >= max_events:
                 raise BudgetExhausted(
                     f"event budget exhausted ({max_events} events)",
                     cycle=self.now, events=executed,
                 )
-            if nxt.time > max_time:
+            if item[0] > max_time:
                 raise BudgetExhausted(
-                    f"time budget exhausted (t={nxt.time} > {max_time})",
+                    f"time budget exhausted (t={item[0]} > {max_time})",
                     cycle=self.now, events=executed,
                 )
-            ev = self._pop_next()
-            assert ev is nxt
-            ev._state = _DONE
-            self._live -= 1
-            self.now = ev.time
-            ev.fn()
+            self._fire(item)
             executed += 1

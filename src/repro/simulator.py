@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.config import LINE_SHIFT, SimConfig
@@ -97,6 +98,10 @@ class _ThreadCtx:
     barrier_start: int = 0
     done: bool = False
     finish_time: int = 0
+    #: superset of the OR of this thread's *visible* frames' write/read
+    #: signature words; it moves with the thread across cores (DESIGN §11)
+    vis_w: int = 0
+    vis_r: int = 0
 
 
 class _Core:
@@ -110,9 +115,10 @@ class _Core:
         self.waiters: set[int] = set()
         self.stall_start = 0
         self.retry_event: Event | None = None
-        #: conflict-visibility epoch before the scan that last found
-        #: this core a conflict (see Simulator._stall_poll)
-        self.scan_epoch = -1
+        #: the pending access a parked stall poll probes: its line's H3
+        #: mask and whether it writes (see Simulator._park_poll)
+        self.poll_mask = 0
+        self.poll_write = False
         self.comp: dict[str, int] = {}
         self.finish_time = 0
         #: prebound callbacks (installed by Simulator.run); avoid
@@ -333,17 +339,27 @@ class Simulator:
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults = faults
-        #: bumped whenever a mounted, visible signature may gain bits or
-        #: the set of mounted, visible frames changes (DESIGN §11)
-        self._epoch = 0
-        #: stall polls may re-stall in place: only the Stall policy, and
-        #: only when no fault injector draws from its RNG on the poll and
-        #: no event trace expects the TX_UNSTALL/TX_STALL pair
+        #: stall polls may re-stall in place and park: only the Stall
+        #: policy, and only when no fault injector draws from its RNG on
+        #: the poll and no event trace expects the TX_UNSTALL/TX_STALL pair
+        #: (a zero period polls within the cycle: nothing to park)
         self._poll_in_place = (
             type(self._resolution) is StallResolution
             and faults is None
             and self.trace.events is None
+            and self._stall_period > 0
         )
+        #: stalled cores whose poll event is parked in the kernel, by
+        #: core index, and an upper bound on their holders' indexes (made
+        #: exact again by every _unpark_covered sweep)
+        self._parked: dict[int, _Core] = {}
+        self._park_hmax = -1
+        #: superset of the OR of every thread's visible write/read words
+        #: (mounted and suspended); a frame drop only marks it dirty, and
+        #: the next probe it fails to reject rebuilds it (DESIGN §11)
+        self._vis_w = 0
+        self._vis_r = 0
+        self._vis_dirty = False
         if oracle is True:
             oracle = OracleRecorder()
         self.oracle: OracleRecorder | None = oracle or None
@@ -380,9 +396,9 @@ class Simulator:
         """
         self.cores = [_Core(idx=i) for i in range(self.config.n_cores)]
         for c in self.cores:
-            c.step_cb = (lambda core=c: self._step(core))
-            c.retry_cb = (lambda core=c: self._retry_pending(core))
-            c.stall_poll_cb = (lambda core=c: self._stall_poll(core))
+            c.step_cb = partial(self._step, c)
+            c.retry_cb = partial(self._retry_pending, c)
+            c.stall_poll_cb = partial(self._stall_poll, c)
         self._ctxs = []
         for tid, factory in enumerate(threads):
             ctx = _ThreadCtx(tid=tid)
@@ -404,13 +420,17 @@ class Simulator:
             offset = int(stagger_rng.integers(0, window + 1)) if window else 0
             core.charge("NoTrans", offset)  # thread-launch skew
             ctx.slice_start = offset
-            self.queue.schedule(offset, lambda c=core: self._step(c))
+            self.queue.schedule(offset, core.step_cb)
 
         if self.oracle is not None:
             self.oracle.attach(self)
         if self.faults is not None:
             self.faults.arm(self)
         executed = self.queue.run(max_events=max_events, max_time=max_time)
+        for c in self.cores:
+            # the bound callbacks close a reference cycle through the
+            # simulator: drop them so a finished run is freed at once
+            c.step_cb = c.retry_cb = c.stall_poll_cb = None
 
         laggards = [ctx.tid for ctx in self._ctxs if not ctx.done]
         if laggards:
@@ -500,7 +520,11 @@ class Simulator:
         ctx.last_core = core.idx
         core.ctx = None
         core.status = IDLE
-        self._epoch += 1
+        if self._parked:
+            # its waiters now find a suspended holder: they must poll
+            for waiter in list(self._parked.values()):
+                if waiter.waiting_on == core.idx:
+                    self._unpark(waiter)
         if reason != "barrier":
             if to_front:
                 self._ready.appendleft(ctx)
@@ -529,7 +553,9 @@ class Simulator:
     def _mount(self, core: _Core, ctx: _ThreadCtx) -> None:
         switching = ctx.last_core != core.idx or ctx.park_reason is not None
         core.ctx = ctx
-        self._epoch += 1
+        if self._parked and core.idx < self._park_hmax:
+            # a mounted transaction may now be a lower holder
+            self._unpark_covered(core.idx, ctx.vis_w, ctx.vis_r)
         ctx.last_core = core.idx
         ctx.slice_start = self.queue.now
         core.status = RUNNING
@@ -672,7 +698,6 @@ class Simulator:
             frame.open_nested = True
             frame.compensate = op.compensate
         core.frames.append(frame)
-        self._epoch += 1
         core.gen_stack.append(op.body())
         self.tx_attempts += 1 if depth == 0 else 0
         if depth == 0 and self.trace.events is not None:
@@ -694,7 +719,6 @@ class Simulator:
             core.finish_time = self.queue.now
             core.ctx = None
             core.status = IDLE
-            self._epoch += 1
             self._check_barriers()
             self._dispatch_next(core)
             if core.ctx is None and all(c.done for c in self._ctxs):
@@ -737,7 +761,7 @@ class Simulator:
                     return
                 self._doom_lazy_losers(core, frame)
                 frame.vm["publishing"] = True
-                self._epoch += 1
+                self._publish_visible(core, frame)
             elif not self.scheme.validate(core.idx, frame):
                 core.doomed_depth = 0
                 self._begin_abort(core)
@@ -751,12 +775,14 @@ class Simulator:
             self.trace.note_commit(latency)
         core.charge("Committing", latency)
         core.status = COMMITTING
-        self.queue.schedule(latency, lambda: self._finish_commit(core, tx_value))
+        self.queue.schedule(latency, partial(self._finish_commit, core, tx_value))
 
     def _finish_commit(self, core: _Core, tx_value: Any) -> None:
         frame = core.frames.pop()
         core.gen_stack.pop()
         self._arbitration.release(core.idx)
+        if frame.depth == 0 or frame.open_nested:
+            self._drop_frames(core.ctx)
         if frame.depth == 0:
             # the isolation window closes here: signatures disarm only
             # once commit processing (repair/merge/bit-flip) finished.
@@ -809,7 +835,11 @@ class Simulator:
         else:
             parent = core.frames[-1]
             parent.merge_child(frame)
-            self._epoch += 1
+            if self._parked and core.idx < self._park_hmax:
+                # the union may cover a probe neither frame covered
+                self._unpark_covered(
+                    core.idx, parent.write_sig._word, parent.read_sig._word
+                )
             self.scheme.merge_nested(parent, frame)
         core.status = RUNNING
         core.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
@@ -838,7 +868,7 @@ class Simulator:
         core.charge("Aborting", latency)
         core.status = ABORTING
         self.aborts += 1
-        self.queue.schedule(latency, lambda: self._finish_abort(core, depth))
+        self.queue.schedule(latency, partial(self._finish_abort, core, depth))
 
     def _finish_abort(self, core: _Core, depth: int) -> None:
         retry_frame = core.frames[depth]
@@ -869,7 +899,7 @@ class Simulator:
         del core.gen_stack[depth + 2:]
         core.gen_stack.pop()  # the aborted level's own generator
         retry_frame.reset_for_retry(self.queue.now)
-        self._epoch += 1
+        self._drop_frames(core.ctx)
         core.consecutive_aborts += 1
         if self.oracle is not None:
             self.oracle.note_abort(core.idx, depth)
@@ -879,11 +909,10 @@ class Simulator:
             delay = self.faults.perturb_backoff(core.idx, delay)
         core.charge("Backoff", delay)
         core.status = BACKOFF
-        self.queue.schedule(delay, lambda: self._retry_tx(core, depth))
+        self.queue.schedule(delay, partial(self._retry_tx, core, depth))
 
     def _retry_tx(self, core: _Core, depth: int) -> None:
         frame = core.frames[depth]
-        self._epoch += 1  # the retry may re-select a visible mode
         if depth == 0:
             # re-select the execution mode (DynTM may flip eager↔lazy);
             # the timestamp is kept so older transactions keep priority
@@ -937,12 +966,22 @@ class Simulator:
         # _frame_visible(frames[-1]) inlined (per-access hot path);
         # lazy frames are invisible until publication, snapshot frames
         # are wait-free — neither joins the conflict scan
-        if (not frames or frames[-1].mode == "eager"
-                or frames[-1].vm.get("publishing")):
-            epoch = self._epoch
-            conflict = self._find_conflict(core, line, is_write)
+        if (frames and frames[-1].mode != "eager"
+                and not frames[-1].vm.get("publishing")):
+            self._perform_access(core, op, line, is_write, 0)
+            return
+        mask = self._mask_of(line)
+        # the summary only ever rejects a scan: no frame's word covers
+        # the mask unless the OR of all visible words does
+        if ((self._vis_w & mask == mask
+                or (is_write and self._vis_r & mask == mask))
+                and (not self._vis_dirty
+                     or self._summary_covers(mask, is_write))):
+            conflict = self._find_conflict(core, mask, is_write)
             if conflict is not None:
-                core.scan_epoch = epoch
+                # the probe a parked poll of this access would watch
+                core.poll_mask = mask
+                core.poll_write = is_write
                 kind = conflict[0]
                 if kind == "suspended":
                     # the holder is a suspended transaction (its summary
@@ -965,18 +1004,21 @@ class Simulator:
                     else:  # pragma: no cover — cannot happen off-multiplex
                         self._resume_retry(core, self.config.htm.stall_retry_period)
                     return
-                if core.in_tx:
+                if frames:
                     self._resolution.resolve(self, core, conflict[1], op)
                 else:
                     # strong isolation: the non-transactional access waits
                     # out the conflicting transaction (it cannot deadlock)
                     self._stall_on(core, conflict[1], op)
                 return
-        self._perform_access(core, op, line, is_write)
+        self._perform_access(core, op, line, is_write, mask)
 
     def _perform_access(
-        self, core: _Core, op: Read | Write, line: int, is_write: bool
+        self, core: _Core, op: Read | Write, line: int, is_write: bool,
+        mask: int,
     ) -> None:
+        """Carry out an access that found no conflict.  ``mask`` is the
+        line's H3 mask when the frame is visible, else 0."""
         scheme = self.scheme
         ctx = core.ctx
         if ctx.frames:
@@ -984,9 +1026,9 @@ class Simulator:
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
-            self._epoch += 1
             if is_write:
-                frame.record_write(line)
+                if frame.record_write(line) and mask:
+                    self._note_visible(core, ctx, mask, True, frame.write_sig._word)
                 extra, phys = scheme.pre_write(core.idx, frame, line)
                 # the per-frame speculative/local-write hooks are
                 # prebound, the constant fallbacks precomputed (hot path)
@@ -1009,7 +1051,8 @@ class Simulator:
                     self.oracle.record_tx_write(frame, op.addr, op.value)
                 latency = result.latency + extra
             else:
-                frame.record_read(line)
+                if frame.record_read(line) and mask:
+                    self._note_visible(core, ctx, mask, False, frame.read_sig._word)
                 extra, phys = scheme.pre_read(core.idx, frame, line)
                 result = self.hierarchy.read(core.idx, phys)
                 value = self._tx_read_value(core, op.addr)
@@ -1021,7 +1064,7 @@ class Simulator:
             if frame.vm.get("must_abort"):
                 core.doomed_depth = 0
                 # the overflow is noticed when the access completes
-                self.queue.schedule(latency, lambda: self._begin_abort(core))
+                self.queue.schedule(latency, partial(self._begin_abort, core))
                 return
             self.queue.schedule(latency, core.step_cb)
         else:
@@ -1089,6 +1132,60 @@ class Simulator:
         return self.memory.load(addr)
 
     # -- conflicts -------------------------------------------------------
+    def _note_visible(
+        self, core: _Core, ctx: _ThreadCtx, mask: int, is_write: bool,
+        word: int,
+    ) -> None:
+        """A visible frame of ``core`` gained ``mask`` in its write (or
+        read) signature, whose word is now ``word``."""
+        if is_write:
+            ctx.vis_w |= mask
+            self._vis_w |= mask
+        else:
+            ctx.vis_r |= mask
+            self._vis_r |= mask
+        if self._parked and core.idx < self._park_hmax:
+            # only the signature that gained bits can newly conflict
+            if is_write:
+                self._unpark_covered(core.idx, word, 0)
+            else:
+                self._unpark_covered(core.idx, 0, word)
+
+    def _publish_visible(self, core: _Core, frame: TxFrame) -> None:
+        """A lazy frame started publishing: its signatures join the
+        conflict scan."""
+        ctx = core.ctx
+        w, r = frame.write_sig._word, frame.read_sig._word
+        ctx.vis_w |= w
+        ctx.vis_r |= r
+        self._vis_w |= w
+        self._vis_r |= r
+        if self._parked and core.idx < self._park_hmax:
+            self._unpark_covered(core.idx, w, r)
+
+    def _drop_frames(self, ctx: _ThreadCtx) -> None:
+        """Frames left ``ctx``: recompute its visible words, and let the
+        next probe the stale summary fails to reject rebuild it."""
+        w = r = 0
+        for frame in ctx.frames:
+            if frame.mode != "lazy" or frame.vm.get("publishing"):
+                w |= frame.write_sig._word
+                r |= frame.read_sig._word
+        ctx.vis_w = w
+        ctx.vis_r = r
+        self._vis_dirty = True
+
+    def _summary_covers(self, mask: int, is_write: bool) -> bool:
+        """Rebuild the dirty summary; does it still cover ``mask``?"""
+        w = r = 0
+        for ctx in self._ctxs:
+            w |= ctx.vis_w
+            r |= ctx.vis_r
+        self._vis_w = w
+        self._vis_r = r
+        self._vis_dirty = False
+        return w & mask == mask or (is_write and r & mask == mask)
+
     def _frame_visible(self, frame: TxFrame) -> bool:
         # lazy transactions are invisible while executing, but once they
         # start publishing they hold coherence permissions: accesses that
@@ -1109,19 +1206,23 @@ class Simulator:
         return None
 
     def _find_conflict(
-        self, core: _Core, line: int, is_write: bool
+        self, core: _Core, mask: int, is_write: bool
     ) -> tuple[str, Any] | None:
-        """The first conflicting holder: ("core", idx) or ("suspended", ctx)."""
+        """The first conflicting holder of the line whose H3 mask is
+        ``mask``: ("core", idx) or ("suspended", ctx)."""
         # one H3 mask for the probed line serves every signature test in
         # the scan; the per-frame visibility and Bloom tests are inlined
         # because this loop runs for every access of every core (DESIGN
         # §11).  Each signature is tested on its own word — OR-ing the
-        # read/write filters first would manufacture false positives.
-        mask = self._mask_of(line)
-        my_idx = core.idx
+        # read/write filters first would manufacture false positives —
+        # so a thread's OR-ed summary words only pick the candidates.
+        my_ctx = core.ctx
         for other in self.cores:
             octx = other.ctx
-            if octx is None or other.idx == my_idx:
+            if octx is None or octx is my_ctx or not (
+                octx.vis_w & mask == mask
+                or (is_write and octx.vis_r & mask == mask)
+            ):
                 continue
             for frame in octx.frames:
                 if frame.mode == "lazy" and not frame.vm.get("publishing"):
@@ -1135,7 +1236,10 @@ class Simulator:
             # suspended transactions' signatures stay armed (the summary
             # signature of Section IV-C)
             for ctx in self._ctxs:
-                if ctx.done or not ctx.frames or ctx is core.ctx:
+                if ctx is my_ctx or not (
+                    ctx.vis_w & mask == mask
+                    or (is_write and ctx.vis_r & mask == mask)
+                ):
                     continue
                 if any(c.ctx is ctx for c in self.cores):
                     continue  # mounted: handled above
@@ -1189,16 +1293,18 @@ class Simulator:
     # -- stalling ---------------------------------------------------------
     def _stall_on(
         self, core: _Core, holder_idx: int, op: Any,
-        period: int | None = None,
+        period: int | None = None, cycle_checked: bool = False,
     ) -> None:
         """Stall ``core`` behind ``holder_idx`` until woken or retried.
 
         ``period`` overrides the configured stall-retry period for this
         episode — contention managers like ``polite`` stretch it
         exponentially instead of hammering the holder.
+        ``cycle_checked`` says the caller has just run ``_wait_cycle``
+        for this edge and broken any cycle it found.
         """
         holder = self.cores[holder_idx]
-        if holder.ctx is None or not holder.frames:
+        if holder.ctx is None or not holder.ctx.frames:
             # the holder finished in the meantime: retry immediately
             core.pending_op = op
             self._resume_retry(core, 0)
@@ -1214,10 +1320,75 @@ class Simulator:
                 {"holder": holder_idx},
             )
         holder.waiters.add(core.idx)
-        period = self._stall_period if period is None else period
+        default = period is None
+        if default:
+            period = self._stall_period
         if self.faults is not None:
             period = self.faults.perturb_stall_retry(core.idx, period)
-        core.retry_event = self.queue.schedule(period, core.stall_poll_cb)
+        event = self.queue.schedule(period, core.stall_poll_cb)
+        core.retry_event = event
+        if (default and self._poll_in_place and type(op) in (Read, Write)
+                and core.ctx.doomed_depth is None):
+            # the access just scanned and found this holder first
+            self._park_poll(core, event)
+        if self._parked and not cycle_checked:
+            # a new edge may close a wait-for cycle (through a waiter
+            # whose holder was suspended and has not polled since): the
+            # parked cores on it must poll to find the cycle
+            for idx in self._wait_cycle(core.idx, holder_idx) or ():
+                if idx in self._parked:
+                    self._unpark(self.cores[idx])
+
+    def _park_poll(self, core: _Core, event: Event) -> None:
+        """Let the kernel re-arm the stall poll ``event`` by itself.
+
+        A parked poll keeps the exact ``(time, seq)`` slots of the poll
+        chain it stands for; the un-park triggers (DESIGN §11) turn it
+        back into a real poll whenever its outcome could change.  The
+        probe it watches (``poll_mask``/``poll_write``) was stored by the
+        scan that found the holder.
+        """
+        event.park(self._stall_period)
+        self._parked[core.idx] = core
+        if core.waiting_on > self._park_hmax:
+            self._park_hmax = core.waiting_on
+
+    def _forget_parked(self, core: _Core) -> None:
+        parked = self._parked
+        del parked[core.idx]
+        if not parked:
+            self._park_hmax = -1
+
+    def _unpark(self, core: _Core) -> None:
+        """Make a parked core's next poll slot a real poll."""
+        core.retry_event.unpark()
+        self._forget_parked(core)
+
+    def _unpark_covered(self, idx: int, write_word: int, read_word: int) -> None:
+        """Un-park every waiter whose holder is above core ``idx`` and
+        whose probe ``idx``'s new write/read words cover; recompute the
+        holders' bound on the way."""
+        hmax = -1
+        for waiter in list(self._parked.values()):
+            holder = waiter.waiting_on
+            if holder > idx:
+                m = waiter.poll_mask
+                if write_word & m == m or (
+                    waiter.poll_write and read_word & m == m
+                ):
+                    self._unpark(waiter)
+                    continue
+            if holder > hmax:
+                hmax = holder
+        self._park_hmax = hmax
+
+    def _cancel_poll(self, core: _Core) -> None:
+        event = core.retry_event
+        if event is not None:
+            if event.parked:
+                self._forget_parked(core)
+            event.cancel()
+            core.retry_event = None
 
     def _unstall(self, core: _Core) -> None:
         core.charge("Stalled", self.queue.now - core.stall_start)
@@ -1227,9 +1398,7 @@ class Simulator:
                 core.ctx.tid if core.ctx is not None else -1,
                 {"waited": self.queue.now - core.stall_start},
             )
-        if core.retry_event is not None:
-            core.retry_event.cancel()
-            core.retry_event = None
+        self._cancel_poll(core)
         if core.waiting_on is not None:
             self.cores[core.waiting_on].waiters.discard(core.idx)
             core.waiting_on = None
@@ -1238,16 +1407,12 @@ class Simulator:
     def _stall_poll(self, core: _Core) -> None:
         """A stalled core's periodic retry (the Stall policy's poll).
 
-        Most polls find the same holder and stall again.  That case is
-        re-stalled in place — ``Stalled`` charged, the stall restarted,
-        the next poll scheduled — with exactly the events, charges and
-        order the full unstall/retry/rescan/resolve/stall path produces.
-        While the visibility epoch is unchanged no lower-indexed core
-        can have started conflicting and the holder still conflicts
-        (it loses bits only by committing or aborting, and both wake
-        its waiters), so even the scan is skipped.  Everything else —
-        a new holder, a wait-for cycle, a commit, a doom, another
-        resolution policy — takes the full path.
+        A poll that finds the same holder and no wait-for cycle re-stalls
+        in place and parks its next poll: the same events and order the
+        full unstall/retry/rescan/resolve/stall path produces, with
+        ``Stalled`` charged once when the stall ends.  Everything else —
+        a new holder, a wait-for cycle, a doom, another resolution
+        policy — takes the full path.
         """
         if core.status != STALLED:
             return
@@ -1255,24 +1420,15 @@ class Simulator:
         op = ctx.pending_op
         holder = core.waiting_on
         if (self._poll_in_place and ctx.doomed_depth is None
-                and type(op) in (Read, Write)):
-            if core.scan_epoch != self._epoch:
-                core.scan_epoch = self._epoch
-                same = self._find_conflict(
-                    core, op.addr >> LINE_SHIFT, type(op) is Write
+                and type(op) in (Read, Write)
+                and self._find_conflict(
+                    core, core.poll_mask, core.poll_write
                 ) == ("core", holder)
-            else:
-                same = True
-            if same and not (
-                ctx.frames and self._wait_cycle(core.idx, holder)
-            ):
-                now = self.queue.now
-                core.charge("Stalled", now - core.stall_start)
-                core.stall_start = now
-                core.retry_event = self.queue.schedule(
-                    self._stall_period, core.stall_poll_cb
-                )
-                return
+                and not (ctx.frames and self._wait_cycle(core.idx, holder))):
+            event = self.queue.schedule(self._stall_period, core.stall_poll_cb)
+            core.retry_event = event
+            self._park_poll(core, event)
+            return
         self._unstall(core)
         self._retry_pending(core)
 
@@ -1289,9 +1445,7 @@ class Simulator:
                     {"waited": self.queue.now - waiter.stall_start,
                      "woken_by": core.idx},
                 )
-            if waiter.retry_event is not None:
-                waiter.retry_event.cancel()
-                waiter.retry_event = None
+            self._cancel_poll(waiter)
             waiter.waiting_on = None
             waiter.status = RUNNING
             self.queue.schedule(0, waiter.retry_cb)
@@ -1424,7 +1578,7 @@ class Simulator:
                         c = self.cores[ctx.last_core]
                         c.charge("Barrier", wait)
                         c.status = RUNNING
-                        self.queue.schedule(0, lambda cc=c: self._step(cc))
+                        self.queue.schedule(0, c.step_cb)
                 self._schedule_ready()
 
 

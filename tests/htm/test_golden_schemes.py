@@ -8,7 +8,10 @@ resolution and commit arbitration out of policy objects, and these pins
 prove the recomposition is an identity for the pre-existing schemes.
 The contended ``yada``/8-core and ``genome``/16-core pins were captured
 later, before the stall-poll shortcut (DESIGN §11), and pin that the
-shortcut leaves every result unchanged.
+shortcut leaves every result unchanged.  The multiplexed ``genome``
+8-core/32-thread pins were captured before parked stall polls and the
+visible-signature summary (DESIGN §11): they drive context switches,
+suspended-context conflict scans and un-parks on park/mount.
 
 If a deliberate behavioural change ever invalidates them, regenerate
 with the recipe in this file's ``_digest`` (and say so in the commit).
@@ -26,15 +29,23 @@ from repro.runner import ExperimentSpec, execute_spec
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_schemes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-#: (workload, scale, seed, cores) pins; small enough to run in tier 1.
-#: The 4-core pins barely stall; the yada/8 and genome/16 pins drive tens
-#: of thousands of stall polls through the conflict-retry path.
+#: (workload, scale, seed, cores, threads) pins; small enough to run in
+#: tier 1.  threads=0 means one thread per core.  The 4-core pins barely
+#: stall; the yada/8 and genome/16 pins drive tens of thousands of stall
+#: polls through the conflict-retry path; the genome 8-core/32-thread
+#: pins do about 70 context switches each.
 PINS = [
-    ("ssca2", "tiny", 3, 4),
-    ("synthetic", "tiny", 7, 4),
-    ("yada", "tiny", 3, 8),
-    ("genome", "tiny", 3, 16),
+    ("ssca2", "tiny", 3, 4, 0),
+    ("synthetic", "tiny", 7, 4, 0),
+    ("yada", "tiny", 3, 8, 0),
+    ("genome", "tiny", 3, 16, 0),
+    ("genome", "tiny", 3, 8, 32),
 ]
+
+
+def _key(workload, scheme, scale, seed, cores, threads) -> str:
+    key = f"{workload}/{scheme}/{scale}/seed{seed}/cores{cores}"
+    return f"{key}/threads{threads}" if threads else key
 
 
 def _digest(spec: ExperimentSpec) -> str:
@@ -44,15 +55,23 @@ def _digest(spec: ExperimentSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload,scale,seed,cores", PINS)
+def _pin_id(pin) -> str:
+    *head, threads = pin
+    return "-".join(map(str, pin if threads else head))
+
+
+@pytest.mark.parametrize(
+    "workload,scale,seed,cores,threads", PINS, ids=[_pin_id(p) for p in PINS]
+)
 @pytest.mark.parametrize("scheme", available_schemes())
 def test_canonical_scheme_results_are_bit_identical(
-    workload, scale, seed, cores, scheme
+    workload, scale, seed, cores, threads, scheme
 ):
-    key = f"{workload}/{scheme}/{scale}/seed{seed}/cores{cores}"
+    key = _key(workload, scheme, scale, seed, cores, threads)
     assert key in GOLDEN["pins"], f"no golden pin for {key}"
     spec = ExperimentSpec(
-        workload=workload, scheme=scheme, scale=scale, seed=seed, cores=cores
+        workload=workload, scheme=scheme, scale=scale, seed=seed,
+        cores=cores, threads=threads,
     )
     assert _digest(spec) == GOLDEN["pins"][key], (
         f"{key} diverged from its pre-refactor pin: the policy-axis "
@@ -62,8 +81,8 @@ def test_canonical_scheme_results_are_bit_identical(
 
 def test_every_golden_pin_is_exercised():
     exercised = {
-        f"{workload}/{scheme}/{scale}/seed{seed}/cores{cores}"
-        for workload, scale, seed, cores in PINS
+        _key(workload, scheme, scale, seed, cores, threads)
+        for workload, scale, seed, cores, threads in PINS
         for scheme in available_schemes()
     }
     assert exercised == set(GOLDEN["pins"])

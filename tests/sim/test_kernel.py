@@ -203,3 +203,119 @@ def test_step_advances_now_and_len():
     assert q.step()
     assert (q.now, len(q)) == (7, 0)
     assert not q.step()
+
+
+# -- parked events ------------------------------------------------------
+def _poll_log(parked: bool, period: int = 10, slots: int = 4):
+    """A poll with ``slots`` slots every ``period`` cycles, tied at every
+    slot with two periodic chains: one scheduled before the poll, one
+    after, each rescheduling itself one period ahead.  The poll either
+    reschedules itself from its callback (logging only its last slot) or
+    is parked and un-parked just before its last slot.  Returns the
+    delivery log and the executed count."""
+    q = EventQueue()
+    log = []
+    last = period * slots
+
+    def chain(tag):
+        def fn():
+            log.append((tag, q.now))
+            if q.now < last:
+                q.schedule(period, fn)
+        return fn
+
+    def poll():
+        if q.now == last:
+            log.append(("poll", q.now))
+        else:
+            q.schedule(period, poll)
+
+    q.schedule(period, chain("before"))
+    ev = q.schedule(period, poll)
+    q.schedule(period, chain("after"))
+    if parked:
+        ev.park(period)
+    # the un-park, or a no-op in the same slot for the rescheduling chain
+    q.at(last - period + 1, ev.unpark if parked else (lambda: None))
+    return log, q.run()
+
+
+def test_parked_poll_keeps_the_rescheduling_chains_slots():
+    chained, n_chained = _poll_log(parked=False)
+    parked, n_parked = _poll_log(parked=True)
+    assert parked == chained
+    # the last slot's tie order: scheduled-before, poll, scheduled-after
+    assert chained[-3:] == [("before", 40), ("poll", 40), ("after", 40)]
+    # every re-arm counts as one executed event
+    assert n_parked == n_chained
+
+
+def test_rearms_count_against_the_event_budget():
+    q = EventQueue()
+    q.schedule(1, lambda: None).park(1)
+    with pytest.raises(BudgetExhausted) as exc_info:
+        q.run(max_events=10)
+    assert exc_info.value.context["events"] == 10
+    assert exc_info.value.cycle == 10
+
+
+def test_step_and_time_budget_rearm_parked_events():
+    q = EventQueue()
+    log = []
+    ev = q.schedule(4, lambda: log.append(q.now))
+    ev.park(3)
+    assert q.step() and q.now == 4 and len(q) == 1
+    assert q.step() and q.now == 7 and log == []
+    with pytest.raises(BudgetExhausted, match="time budget") as exc_info:
+        q.run(max_time=20)
+    # re-armed at 10, 13, 16, 19; the next slot (22) lies past the budget
+    assert exc_info.value.context["events"] == 4
+    assert exc_info.value.cycle == 19
+    ev.unpark()
+    assert q.run() == 1 and log == [22]
+
+
+def test_cancelled_parked_event_is_dropped():
+    q = EventQueue()
+    hit = []
+    ev = q.schedule(2, lambda: hit.append(q.now))
+    ev.park(2)
+    q.schedule(7, ev.cancel)
+    assert q.run() == 4  # re-arms at 2, 4, 6, then the cancel at 7
+    assert hit == [] and ev.cancelled and len(q) == 0
+
+
+def test_unparked_event_fires_in_its_current_slot():
+    q = EventQueue()
+    hit = []
+    ev = q.schedule(5, lambda: hit.append(q.now))
+    ev.park(5)
+    q.schedule(12, ev.unpark)  # after the re-arms at 5 and 10
+    q.run()
+    assert hit == [15]
+
+
+def test_parked_events_are_live_for_len_peak_and_compaction():
+    q = EventQueue()
+    parked = q.schedule(3, lambda: None)
+    parked.park(3)
+    assert len(q) == 1 and q.peak_queue == 1
+    q.step()  # a re-arm: still one live event, no new queue pressure
+    assert len(q) == 1 and q.peak_queue == 1
+    # enough cancelled garbage to force a compaction
+    for _ in range(100):
+        q.schedule(50, lambda: None).cancel()
+    assert q._dead < 100  # compacted at least once
+    assert [item[2] for item in q._heap if not item[2].cancelled] == [parked]
+    assert len(q) == 1 and q.peak_queue == 2
+    assert q.step() and q.now == 6 and parked.parked
+
+
+def test_only_pending_events_park_and_periods_are_positive():
+    q = EventQueue()
+    ev = q.schedule(1, lambda: None)
+    with pytest.raises(ValueError):
+        ev.park(0)
+    ev.cancel()
+    with pytest.raises(ValueError):
+        ev.park(5)
