@@ -44,8 +44,6 @@ per-phase isolation-window accounting (zero-overhead when disabled)::
     tracer.write_chrome_trace("trace.json")   # chrome://tracing
 """
 
-from repro.bench import compare as compare_bench
-from repro.bench import run_bench
 from repro.config import SimConfig, default_config
 from repro.errors import (
     BudgetExhausted,
@@ -111,13 +109,11 @@ __all__ = [
     "TransactionError",
     "available_schemes",
     "check_run",
-    "compare_bench",
     "default_config",
     "execute_spec",
     "list_presets",
     "parse_plan",
     "provenance",
-    "run_bench",
     "run_experiment",
     "run_matrix",
     "__version__",

@@ -18,10 +18,6 @@ Commands:
   and audit the resilience invariants.
 * ``faults`` — run a fault-injection campaign (schemes × workloads ×
   fault plans) with the atomicity oracle enabled on every run.
-* ``bench`` — run the pinned host-performance matrix and write a
-  schema-versioned ``BENCH_<date>.json``.
-* ``compare-bench`` — diff two BENCH files; exits non-zero past the
-  regression thresholds (the CI gate).
 * ``study`` — design-space study: sweep the legal policy space over a
   workload set, rank combinations, compute per-workload Pareto fronts
   over (cycles, aborts, pool high-water) and write a schema-versioned
@@ -29,6 +25,9 @@ Commands:
   compare`` diffs two modulo volatile sections (the determinism gate).
 * ``hwcost`` — print the Table VII / Section V-C hardware-cost report.
 * ``list`` — list workloads, schemes and fault-plan presets.
+
+Host performance is measured outside the CLI, by
+``benchmarks/e2e/run.py`` (gated in CI by ``benchmarks/gate.py``).
 
 The commands are thin adapters over the :mod:`repro.runner` API:
 ``argparse`` namespaces become :class:`~repro.runner.ExperimentSpec`
@@ -465,76 +464,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned benchmark matrix and write ``BENCH_<date>.json``.
-
-    Per entry: fidelity metrics (simulated cycles/commits/aborts and
-    the isolation-window accounting, seed-deterministic) plus host
-    throughput (wall seconds, events/s, txs/s).  Gate with
-    ``repro compare-bench``.
-    """
-    from repro.bench import run_bench, write_bench
-
-    doc = run_bench(scale=args.scale)
-    path = write_bench(doc, args.out)
-    rows = [
-        [e["label"], f"{e['total_cycles']:,}", e["commits"], e["aborts"],
-         f"{e['wall_s']:.3f}", f"{e['events_per_s']:,.0f}",
-         f"{e['txs_per_s']:,.0f}"]
-        for e in doc["entries"]
-    ]
-    print(format_table(
-        ["run", "cycles", "commits", "aborts", "wall (s)", "events/s",
-         "txs/s"],
-        rows,
-        title=f"bench — scale {args.scale}, "
-              f"calibration {doc['calibration_s']:.3f}s",
-    ))
-    print()
-    print(format_phase_table({
-        e["label"]: e["phase_breakdown"] for e in doc["entries"]
-    }))
-    print()
-    print(f"wrote {path}")
-    return 0
-
-
-def cmd_compare_bench(args: argparse.Namespace) -> int:
-    """Diff two BENCH files; exit non-zero past the regression gate."""
-    from repro.bench import compare, load_bench
-
-    baseline = load_bench(args.baseline)
-    current = load_bench(args.current)
-    problems = compare(baseline, current, wall_threshold=args.wall_threshold)
-    if problems:
-        print(f"REGRESSION: {len(problems)} problem(s) vs {args.baseline}")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print(f"ok: {len(current.get('entries', ()))} entries within "
-          f"{args.wall_threshold:.0%} of {args.baseline}")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one spec on the host and print/emit the hotspot report.
-
-    ``repro bench`` tells you how fast; ``repro profile`` tells you
-    where the host time goes: top-N cProfile hotspots next to the
-    simulated per-component cycle table, optionally as JSON for
-    machine consumption.
-    """
-    from repro.profiling import format_profile, profile_spec
-
-    spec = _spec_from_args(args, args.scheme)
-    report = profile_spec(spec, top=args.top, sort=args.sort)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_profile(report))
-    return 0
-
-
 def cmd_hwcost(args: argparse.Namespace) -> int:
     from repro.hwcost.cacti import CactiLite
     from repro.hwcost.storage import suv_overhead_report
@@ -937,27 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark matrix, write BENCH_<date>.json",
-    )
-    p.add_argument("--scale", choices=("tiny", "small", "full"),
-                   default="tiny")
-    p.add_argument("--out", default="benchmarks/results",
-                   help="directory for the BENCH_<date>.json file")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "compare-bench",
-        help="diff two BENCH files; non-zero exit on regression",
-    )
-    p.add_argument("baseline", help="baseline BENCH_*.json")
-    p.add_argument("current", help="candidate BENCH_*.json")
-    p.add_argument("--wall-threshold", type=float, default=0.15,
-                   help="tolerated calibrated wall-time slowdown "
-                        "(fraction; fidelity metrics always exact)")
-    p.set_defaults(fn=cmd_compare_bench)
-
-    p = sub.add_parser(
         "study",
         help="design-space study: sweep the legal policy space, rank "
              "per workload, compute Pareto fronts, write STUDY_<date>.json",
@@ -1015,21 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("current", help="candidate STUDY_*.json")
     sp.set_defaults(fn=cmd_study)
     p.set_defaults(fn=cmd_study)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile one spec on the host (cProfile hotspot report)",
-    )
-    p.add_argument("workload", choices=_WORKLOAD_CHOICES)
-    p.add_argument("scheme", type=_scheme_name, nargs="?", default="suv")
-    p.add_argument("--top", type=int, default=20,
-                   help="hotspot rows to report (default 20)")
-    p.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
-                   default="tottime")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report as JSON instead of a table")
-    _add_common(p)
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("hwcost", help="hardware-cost report (Table VII)")
     p.set_defaults(fn=cmd_hwcost)

@@ -1,9 +1,8 @@
 """STUDY artifacts: write, load, render and compare.
 
-Mirrors the BENCH pipeline (``repro.bench``): the study document is
-schema-versioned, written as ``STUDY_<date>.json`` with sorted keys,
-and diffed by :func:`compare_studies` after stripping the volatile
-sections (``provenance``, ``campaign`` — git revision, wall time,
+The study document is schema-versioned, written as
+``STUDY_<date>.json`` with sorted keys, and diffed by
+:func:`compare_studies` after stripping the volatile sections (``provenance``, ``campaign`` — git revision, wall time,
 cache-hit counts).  An empty comparison is the CI determinism gate:
 two runs of the same study space on the same seeds must analyse
 identically, byte for byte.

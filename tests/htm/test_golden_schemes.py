@@ -13,6 +13,12 @@ shortcut leaves every result unchanged.  The multiplexed ``genome``
 visible-signature summary (DESIGN §11): they drive context switches,
 suspended-context conflict scans and un-parks on park/mount.
 
+The isolation pins in ``tests/data/golden_isolation.json`` hold the
+raw numbers the digests hash away: simulated cycles, commits, aborts
+and the isolation-window accounting (``phase_breakdown["isolation"]``)
+for ssca2 and synthetic under the Figure 6 trio at seed 3, so a change
+that lengthens isolation windows names the field it moved.
+
 If a deliberate behavioural change ever invalidates them, regenerate
 with the recipe in this file's ``_digest`` (and say so in the commit).
 """
@@ -28,6 +34,7 @@ from repro.runner import ExperimentSpec, execute_spec
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_schemes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+ISOLATION = json.loads((GOLDEN_PATH.parent / "golden_isolation.json").read_text())
 
 #: (workload, scale, seed, cores, threads) pins; small enough to run in
 #: tier 1.  threads=0 means one thread per core.  The 4-core pins barely
@@ -86,3 +93,21 @@ def test_every_golden_pin_is_exercised():
         for scheme in available_schemes()
     }
     assert exercised == set(GOLDEN["pins"])
+
+
+@pytest.mark.parametrize(
+    "key", sorted(ISOLATION), ids=lambda key: "-".join(key.split("/")[:2])
+)
+def test_isolation_window_accounting_is_pinned(key):
+    workload, scheme, scale, seed, cores = key.split("/")
+    res = execute_spec(ExperimentSpec(
+        workload=workload, scheme=scheme, scale=scale,
+        seed=int(seed.removeprefix("seed")),
+        cores=int(cores.removeprefix("cores")),
+    ))
+    assert {
+        "total_cycles": res.total_cycles,
+        "commits": res.commits,
+        "aborts": res.aborts,
+        "isolation": res.phase_breakdown["isolation"],
+    } == ISOLATION[key]

@@ -3,7 +3,8 @@
 The workflows can't run here, but their load-bearing properties are
 plain text: exact action pins (one version per action, registered in
 the setup-repro composite), concurrency cancellation, artifact uploads
-that survive failed gates, the Python matrix, and the study jobs.
+that survive failed gates, the Python matrix, the benchmark gate and
+the study jobs.
 Textual assertions keep a drive-by workflow edit from silently
 unpinning an action or dropping the determinism gate.  Scheme names
 passed to ``--schemes`` are resolved here too, so a removed alias fails
@@ -29,6 +30,19 @@ EXACT = re.compile(r"^v\d+\.\d+\.\d+$")
 USES = re.compile(r"uses:\s*(\S+)")
 #: a repo-relative test or benchmark path on a command line
 REPO_PATH = re.compile(r"(?<![\w/.-])((?:tests|benchmarks)/[\w./-]*)")
+
+
+def job(name: str, path: Path = CI) -> str:
+    """The text of one job block: its ``  name:`` header line and every
+    following line until the next line indented two spaces or less."""
+    lines = path.read_text().splitlines()
+    start = lines.index(f"  {name}:")
+    end = next(
+        (i for i in range(start + 1, len(lines))
+         if lines[i].strip() and len(lines[i]) - len(lines[i].lstrip()) <= 2),
+        len(lines),
+    )
+    return "\n".join(lines[start:end])
 
 
 def all_yaml_files():
@@ -111,9 +125,27 @@ def test_ci_has_the_study_smoke_determinism_gate():
     assert "study compare" in text
 
 
+def test_job_extracts_one_block_by_indentation():
+    smoke = job("bench-smoke")
+    assert smoke.startswith("  bench-smoke:")
+    assert "\n  bench-gate:" not in smoke and "runs-on:" in smoke
+    assert job("oracle-sweep").rstrip().endswith("path: oracle-out/*.jsonl")
+
+
 def test_bench_smoke_runs_the_e2e_benchmark_tests():
-    job = CI.read_text().split("bench-smoke:")[1].split("\n  bench-regression:")[0]
-    assert "python -m pytest benchmarks/e2e" in job
+    assert "python -m pytest benchmarks/e2e" in job("bench-smoke")
+
+
+def test_bench_gate_runs_and_gates_the_e2e_benchmark():
+    gate = job("bench-gate").replace("\\\n", " ")
+    assert "benchmarks/e2e/run.py --smoke" in gate
+    assert "benchmarks/gate.py benchmarks/results/e2e-smoke.jsonl" in " ".join(gate.split())
+    # stdout goes to a file: a pipe would mask run.py's exit code
+    run_line = next(line for line in gate.splitlines() if "e2e/run.py" in line)
+    assert "|" not in run_line and ">" in run_line
+    upload = next(step for step in gate.split("- name:") if "upload-artifact" in step)
+    assert "if: always()" in upload
+    assert not any(re.search(r"repro\s+bench", p.read_text()) for p in all_yaml_files())
 
 
 def test_workflow_test_and_script_paths_exist():
@@ -160,11 +192,11 @@ def test_workflow_scheme_names_resolve():
 
 
 def test_ci_sweeps_every_legal_name_under_the_oracle():
-    job = CI.read_text().split("\n  oracle-sweep:")[1]
-    assert "--check" in job and "--retries 0" in job
-    assert "schemes --list" in job  # every legal composed name
-    assert "--cores \"$cores\"" in job and "for cores in 4 16" in job
-    assert "tests/data/oracle_known_violations.json" in job
+    sweep = job("oracle-sweep")
+    assert "--check" in sweep and "--retries 0" in sweep
+    assert "schemes --list" in sweep  # every legal composed name
+    assert "--cores \"$cores\"" in sweep and "for cores in 4 16" in sweep
+    assert "tests/data/oracle_known_violations.json" in sweep
 
 
 def test_known_oracle_violations_name_real_runs():
