@@ -263,25 +263,26 @@ class RedirectTable:
     def memory_entries(self) -> int:
         return len(self._mem)
 
+    def _placements(self) -> list[dict[int, RedirectEntry]]:
+        """The per-core L1 tables, the non-empty L2 sets, then the
+        software overflow area: every dict that can hold an entry, in a
+        deterministic order."""
+        return [
+            *(tbl._entries for tbl in self.l1_tables),
+            *filter(None, self.l2_table._sets),
+            self._mem,
+        ]
+
     def iter_entries(self):
         """Every entry across all placement levels, deduplicated, in a
         deterministic order (per-core L1 tables, then L2 sets, then the
         software overflow area)."""
         seen: set[int] = set()
-        for tbl in self.l1_tables:
-            for entry in tbl.values():
+        for entries in self._placements():
+            for entry in entries.values():
                 if id(entry) not in seen:
                     seen.add(id(entry))
                     yield entry
-        for cset in self.l2_table._sets:
-            for entry in cset.values():
-                if id(entry) not in seen:
-                    seen.add(id(entry))
-                    yield entry
-        for entry in self._mem.values():
-            if id(entry) not in seen:
-                seen.add(id(entry))
-                yield entry
 
     def iter_live_lines(self):
         """Original lines of every non-free entry, at any level.
@@ -293,38 +294,23 @@ class RedirectTable:
         filter's one guarantee — no false negatives — into a lie.
         """
         seen: set[int] = set()
-        for entry in self.iter_entries():
-            if not entry.is_free and entry.orig_line not in seen:
-                seen.add(entry.orig_line)
-                yield entry.orig_line
+        for entries in self._placements():
+            for entry in entries.values():
+                if entry.orig_line not in seen and not entry.is_free:
+                    seen.add(entry.orig_line)
+                    yield entry.orig_line
 
     def iter_valid_lines(self):
-        """Original lines of every globally-valid entry; deduplicated
-        across placement levels (introspection/debugging helper)."""
+        """Original lines of every globally-valid entry at any level,
+        the software overflow area included (a VALID entry swapped out
+        there is still globally live); deduplicated across placement
+        levels (introspection/debugging helper)."""
         seen: set[int] = set()
-        for tbl in self.l1_tables:
-            for entry in tbl.values():
+        for entries in self._placements():
+            for entry in entries.values():
                 if entry.state.value == (1, 1) and entry.orig_line not in seen:
                     seen.add(entry.orig_line)
                     yield entry.orig_line
-        for cset in self.l2_table._sets:
-            for entry in cset.values():
-                if entry.state.value == (1, 1) and entry.orig_line not in seen:
-                    seen.add(entry.orig_line)
-                    yield entry.orig_line
-        # VALID entries swapped out to the software overflow area are
-        # still globally live: omitting them from a summary rebuild
-        # would produce false *negatives* — accesses silently bypassing
-        # a committed redirection (stale reads, duplicated entries,
-        # leaked pool lines)
-        for entry in self._mem.values():
-            if entry.state.value == (1, 1) and entry.orig_line not in seen:
-                seen.add(entry.orig_line)
-                yield entry.orig_line
-        for entry in self._mem.values():
-            if entry.state.value == (1, 1) and entry.orig_line not in seen:
-                seen.add(entry.orig_line)
-                yield entry.orig_line
 
     def stats(self) -> dict[str, float]:
         return {

@@ -74,7 +74,7 @@ class DeadlockError(SimulationError):
 
 
 class BudgetExhausted(SimulationError):
-    """An event/time budget guard tripped (runaway or livelocked run)."""
+    """An event budget guard tripped (runaway or livelocked run)."""
 
 
 class PoolExhausted(ReproError, RuntimeError):

@@ -126,19 +126,22 @@ class CountingSummarySignature:
         self.adds = 0
         self.removes = 0
 
-    def _idx(self, value: int) -> tuple[int, ...]:
-        return self._hash.indexes(value)
-
     def add(self, value: int) -> None:
         self.adds += 1
-        for idx in self._idx(value):
-            bit = 1 << idx
-            if self._sig & bit:
-                # second writer: the bit is no longer uniquely owned
-                self._once &= ~bit
-            else:
-                self._sig |= bit
-                self._once |= bit
+        mask = self._hash.mask(value)
+        # a bit set for the first time is uniquely owned; a second
+        # writer's bit no longer is
+        once = (self._once & ~mask) | (mask & ~self._sig)
+        if mask.bit_count() < self.hashes:
+            # coinciding hash indexes write their bit twice: never unique
+            seen = 0
+            for idx in self._hash.indexes(value):
+                bit = 1 << idx
+                if seen & bit:
+                    once &= ~bit
+                seen |= bit
+        self._once = once
+        self._sig |= mask
 
     def test(self, value: int) -> bool:
         mask = self._hash.mask(value)
@@ -147,11 +150,9 @@ class CountingSummarySignature:
     def remove(self, value: int) -> None:
         """Conservatively remove ``value`` (clears only its unique bits)."""
         self.removes += 1
-        for idx in self._idx(value):
-            bit = 1 << idx
-            if self._once & bit:
-                self._sig &= ~bit
-                self._once &= ~bit
+        unique = self._hash.mask(value) & self._once
+        self._sig &= ~unique
+        self._once &= ~unique
 
     def clear(self) -> None:
         self._sig = 0

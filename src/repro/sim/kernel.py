@@ -5,19 +5,13 @@ of bookkeeping events.  Events at equal timestamps are delivered in
 insertion order, which keeps runs bit-reproducible.
 
 Host-performance notes (DESIGN §11): this queue is the innermost loop of
-the whole simulator, so it avoids per-event Python overhead wherever the
-semantics allow:
+the whole simulator, so it is one heap and one :meth:`EventQueue.run`
+loop:
 
 * :class:`Event` is a ``__slots__`` class and the heap is keyed by plain
   ``(time, seq)`` tuples, so ``heapq`` compares tuples in C instead of
   calling a generated dataclass ``__lt__``; the key lives only in the
   queue entry, never on the event;
-* **zero-delay events skip the heap**: an event scheduled for the
-  current cycle goes to a FIFO of ``(time, seq, event)`` entries.
-  Delivery interleaves the FIFO with the heap strictly by
-  ``(time, seq)``, so the executed order is *identical* to an all-heap
-  queue — the fast path can change host time only, never simulated
-  order;
 * **parked events re-arm in the kernel**: a periodic event whose
   callback would only schedule itself again one period later can be
   :meth:`Event.park`-ed.  When it reaches the front the queue re-keys
@@ -27,15 +21,12 @@ semantics allow:
   rescheduling chain, without calling back into Python;
 * the live-event count is maintained incrementally (``__len__`` is
   O(1)) and :attr:`peak_queue` tracks **live** events only — cancelled
-  events awaiting pop are queue garbage, not queue pressure;
-* cancelled events are compacted lazily: when more than half the heap
-  is dead weight the heap is rebuilt, keeping pop cost bounded without
-  paying O(n) removal on every cancel.
+  events stay in the heap as garbage until they reach the front, where
+  they are dropped.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush, heapreplace
 from typing import Callable
 
@@ -47,10 +38,6 @@ _PENDING = 0
 _DONE = 1
 _CANCELLED = 2
 _PARKED = 3
-
-#: rebuild the heap once it holds this many cancelled entries *and*
-#: they outnumber the live ones (amortized O(1) per cancel)
-_COMPACT_MIN = 64
 
 
 class Event:
@@ -78,11 +65,8 @@ class Event:
         if self._state != _PENDING and self._state != _PARKED:
             return
         self._state = _CANCELLED
-        q = self._queue
-        if q is not None:
-            q._live -= 1
-            q._dead += 1
-            q._maybe_compact()
+        if self._queue is not None:
+            self._queue._live -= 1
 
     def park(self, period: int) -> None:
         """Re-arm this event every ``period`` cycles instead of firing it.
@@ -109,15 +93,11 @@ class EventQueue:
     """Deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        #: (time, seq, event) triples — tuple ordering, no Event.__lt__
+        #: (time, seq, event) triples — tuple ordering, no Event.__lt__;
+        #: (time, seq) is unique, so a comparison never reaches the Event
         self._heap: list[tuple[int, int, Event]] = []
-        #: (time, seq, event) FIFO of events scheduled for the *current*
-        #: cycle; always drained before ``now`` may advance
-        self._zero: list[tuple[int, int, Event]] = []
-        self._zero_head = 0
         self._seq = 0
         self._live = 0
-        self._dead = 0
         self.now = 0
         #: most *live* events ever outstanding at once — a queue-pressure
         #: gauge surfaced on ``SimResult.phase_breakdown["kernel"]``
@@ -140,194 +120,54 @@ class EventQueue:
         ev.fn = fn
         ev._state = _PENDING
         ev._queue = self
-        if delay == 0:
-            self._zero.append((self.now, seq, ev))
-        else:
-            heappush(self._heap, (self.now + int(delay), seq, ev))
+        heappush(self._heap, (self.now + int(delay), seq, ev))
         live = self._live + 1
         self._live = live
         if live > self.peak_queue:
             self.peak_queue = live
         return ev
 
-    def at(self, time: int, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` at an absolute timestamp ``time >= now``."""
-        return self.schedule(time - self.now, fn)
-
-    # ------------------------------------------------------------------
-    def _maybe_compact(self) -> None:
-        """Drop cancelled heap entries once they dominate the queue."""
-        if self._dead < _COMPACT_MIN or self._dead <= self._live:
-            return
-        # compact IN PLACE: run()'s inner loop holds local aliases of
-        # both lists, so rebinding self._heap/self._zero here would
-        # silently detach them.  Parked events are live and stay.
-        self._heap[:] = [
-            item for item in self._heap if item[2]._state != _CANCELLED
-        ]
-        heapq.heapify(self._heap)
-        start = self._zero_head
-        if start:
-            del self._zero[:start]
-            self._zero_head = 0
-        self._zero[:] = [
-            item for item in self._zero if item[2]._state != _CANCELLED
-        ]
-        self._dead = 0
-
-    def _front(self) -> tuple[int, int, Event] | None:
-        """The next live entry in strict ``(time, seq)`` order, or None.
-
-        Cancelled entries in front of it are dropped.  The zero-FIFO
-        holds only entries stamped with the current ``now``, and every
-        heap entry has ``time >= now``; comparing the two front keys
-        therefore reproduces exactly the order a single heap would
-        deliver.
-        """
-        heap = self._heap
-        zero = self._zero
-        while True:
-            zi = self._zero_head
-            # (time, seq) is globally unique, so comparing the triples
-            # never reaches the Event element
-            if zi < len(zero) and (not heap or heap[0] > zero[zi]):
-                item = zero[zi]
-                if item[2]._state != _CANCELLED:
-                    return item
-                self._advance_zero()
-            elif heap:
-                item = heap[0]
-                if item[2]._state != _CANCELLED:
-                    return item
-                heappop(heap)
-            else:
-                return None
-            # cancelled entry finally popped: no longer dead weight
-            self._dead -= 1
-
-    def _advance_zero(self) -> None:
-        zi = self._zero_head + 1
-        if zi >= len(self._zero):
-            del self._zero[:]
-            zi = 0
-        self._zero_head = zi
-
-    def _fire(self, item: tuple[int, int, Event]) -> None:
-        """Execute the front entry ``item`` from :meth:`_front`: re-arm
-        it if parked, else run its callback."""
-        when, _, ev = item
-        self.now = when
-        zero = self._zero
-        from_zero = self._zero_head < len(zero) and zero[self._zero_head] is item
-        if ev._state == _PARKED:
-            seq = self._seq
-            self._seq = seq + 1
-            entry = (when + ev.period, seq, ev)
-            if from_zero:
-                self._advance_zero()
-                heappush(self._heap, entry)
-            else:
-                heapreplace(self._heap, entry)
-            return
-        if from_zero:
-            self._advance_zero()
-        else:
-            heappop(self._heap)
-        ev._state = _DONE
-        self._live -= 1
-        ev.fn()
-
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next live event (a parked one re-arms); returns
-        False when the queue is empty."""
-        item = self._front()
-        if item is None:
-            return False
-        self._fire(item)
-        return True
-
-    def run(self, max_events: int | None = None, max_time: int | None = None) -> int:
+    def run(self, max_events: int | None = None) -> int:
         """Drain the queue; returns the number of events executed.
 
         A parked event's re-arm counts as one executed event.
-        ``max_events``/``max_time`` guard against runaway simulations
-        (e.g. a livelocked conflict-resolution policy under test).
+        ``max_events`` guards against runaway simulations (e.g. a
+        livelocked conflict-resolution policy under test): with that
+        many events executed and a live one still queued, it raises
+        :class:`BudgetExhausted` and leaves the rest queued, so a second
+        ``run`` resumes where this one stopped.
         """
         executed = 0
-        if max_time is None:
-            # fast path (also covers a pure event budget): no peek per
-            # event — the budget check is one int compare, and the next
-            # event is only peeked once the budget is actually hit, to
-            # distinguish "drained" from "exhausted".  _front/_fire are
-            # inlined: this loop is the innermost loop of the whole
-            # simulator (see the module docstring)
-            budget = -1 if max_events is None else max_events
-            heap = self._heap
-            zero = self._zero
-            while True:
-                if executed == budget:
-                    if self._front() is None:
-                        return executed
-                    raise BudgetExhausted(
-                        f"event budget exhausted ({max_events} events)",
-                        cycle=self.now, events=executed,
-                    )
-                # the FIFO is cleared once drained, so a non-empty FIFO
-                # always has an entry at its head
-                if zero and (not heap or heap[0] > zero[self._zero_head]):
-                    zi = self._zero_head
-                    when, _, ev = zero[zi]
-                    if ev._state:
-                        # parked (rare here) or cancelled: the general path
-                        if ev._state == _PARKED:
-                            self._fire(zero[zi])
-                            executed += 1
-                        else:
-                            self._advance_zero()
-                            self._dead -= 1
-                        continue
-                    zi += 1
-                    if zi >= len(zero):
-                        del zero[:]
-                        zi = 0
-                    self._zero_head = zi
-                elif heap:
-                    when, _, ev = heap[0]
-                    if ev._state:
-                        if ev._state == _PARKED:
-                            # re-arm in place: the key the rescheduling
-                            # callback would have drawn, no callback
-                            seq = self._seq
-                            self._seq = seq + 1
-                            self.now = when
-                            heapreplace(heap, (when + ev.period, seq, ev))
-                            executed += 1
-                        else:
-                            heappop(heap)
-                            self._dead -= 1
-                        continue
+        budget = -1 if max_events is None else max_events
+        heap = self._heap
+        while heap:
+            when, _, ev = heap[0]
+            if ev._state:
+                if ev._state == _CANCELLED:
                     heappop(heap)
-                else:
-                    return executed
-                ev._state = _DONE
-                self._live -= 1
+                    continue
+                # parked: re-arm in place with the key the rescheduling
+                # callback would have drawn, without calling it
+                if executed == budget:
+                    raise self._exhausted(max_events, executed)
+                seq = self._seq
+                self._seq = seq + 1
                 self.now = when
-                ev.fn()
+                heapreplace(heap, (when + ev.period, seq, ev))
                 executed += 1
-        while True:
-            item = self._front()
-            if item is None:
-                return executed
-            if max_events is not None and executed >= max_events:
-                raise BudgetExhausted(
-                    f"event budget exhausted ({max_events} events)",
-                    cycle=self.now, events=executed,
-                )
-            if item[0] > max_time:
-                raise BudgetExhausted(
-                    f"time budget exhausted (t={item[0]} > {max_time})",
-                    cycle=self.now, events=executed,
-                )
-            self._fire(item)
+                continue
+            if executed == budget:
+                raise self._exhausted(max_events, executed)
+            heappop(heap)
+            ev._state = _DONE
+            self._live -= 1
+            self.now = when
+            ev.fn()
             executed += 1
+        return executed
+
+    def _exhausted(self, max_events: int | None, executed: int) -> BudgetExhausted:
+        return BudgetExhausted(
+            f"event budget exhausted ({max_events} events)",
+            cycle=self.now, events=executed,
+        )

@@ -384,7 +384,6 @@ class Simulator:
         self,
         threads: list[Callable[[], Generator]],
         max_events: int | None = 20_000_000,
-        max_time: int | None = None,
     ) -> SimResult:
         """Execute the thread generators until all finish.
 
@@ -426,7 +425,7 @@ class Simulator:
             self.oracle.attach(self)
         if self.faults is not None:
             self.faults.arm(self)
-        executed = self.queue.run(max_events=max_events, max_time=max_time)
+        executed = self.queue.run(max_events=max_events)
         for c in self.cores:
             # the bound callbacks close a reference cycle through the
             # simulator: drop them so a finished run is freed at once

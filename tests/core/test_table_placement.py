@@ -62,6 +62,15 @@ def test_iter_valid_lines_skips_transient_and_invalid():
     assert set(t.iter_valid_lines()) == {1}
 
 
+def test_iter_valid_lines_yields_an_overflowed_entry_once():
+    t = table(l1=1, l2=1, ways=1, cores=2)
+    t.insert(0, valid(0))  # core 0's L1 and the L2 home
+    t.insert(1, valid(1))  # the L2 spills 0 to memory; core 0's L1 keeps it
+    t.insert(1, valid(2))  # the L2 spills 1 and core 1's L1 drops it
+    assert set(t._mem) == {0, 1} and 1 not in t.l1_tables[1]
+    assert sorted(t.iter_valid_lines()) == [0, 1, 2]
+
+
 def test_stats_shape():
     t = table()
     t.insert(0, valid(9))

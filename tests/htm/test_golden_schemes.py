@@ -11,7 +11,11 @@ later, before the stall-poll shortcut (DESIGN §11), and pin that the
 shortcut leaves every result unchanged.  The multiplexed ``genome``
 8-core/32-thread pins were captured before parked stall polls and the
 visible-signature summary (DESIGN §11): they drive context switches,
-suspended-context conflict scans and un-parks on park/mount.
+suspended-context conflict scans and un-parks on park/mount.  The
+``kmeans`` and ``vacation`` 16-core pins were captured before the event
+kernel became a single heap (DESIGN §11): kmeans's barrier releases
+schedule 16 zero-delay events in one cycle, whose delivery order the
+heap must keep.
 
 The isolation pins in ``tests/data/golden_isolation.json`` hold the
 raw numbers the digests hash away: simulated cycles, commits, aborts
@@ -40,13 +44,17 @@ ISOLATION = json.loads((GOLDEN_PATH.parent / "golden_isolation.json").read_text(
 #: tier 1.  threads=0 means one thread per core.  The 4-core pins barely
 #: stall; the yada/8 and genome/16 pins drive tens of thousands of stall
 #: polls through the conflict-retry path; the genome 8-core/32-thread
-#: pins do about 70 context switches each.
+#: pins do about 70 context switches each.  The kmeans and vacation
+#: 16-core pins are the low-contention apps; kmeans releases all 16
+#: cores from each barrier with same-cycle zero-delay events.
 PINS = [
     ("ssca2", "tiny", 3, 4, 0),
     ("synthetic", "tiny", 7, 4, 0),
     ("yada", "tiny", 3, 8, 0),
     ("genome", "tiny", 3, 16, 0),
     ("genome", "tiny", 3, 8, 32),
+    ("kmeans", "tiny", 3, 16, 0),
+    ("vacation", "tiny", 3, 16, 0),
 ]
 
 

@@ -23,13 +23,13 @@ def test_simresult_helpers():
     assert a.speedup_over(b) == b.total_cycles / a.total_cycles
 
 
-def test_max_time_guard():
+def test_max_events_guard():
     def thread():
         while True:
             yield Work(1000)
 
-    with pytest.raises(RuntimeError, match="time budget"):
-        Simulator(cfg(), scheme="suv").run([thread], max_time=10_000)
+    with pytest.raises(RuntimeError, match="event budget"):
+        Simulator(cfg(), scheme="suv").run([thread], max_events=10_000)
 
 
 def test_unknown_op_rejected():

@@ -1,9 +1,14 @@
 """Unit + property tests for Bloom signatures (incl. Figure 5 semantics)."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RedirectConfig
+from repro.core.summary import RedirectSummaryFilter
 from repro.signatures.bloom import BloomSignature, CountingSummarySignature
 from repro.signatures.hashes import H3HashFamily
 
@@ -180,6 +185,60 @@ def test_summary_counters():
     s.add(2)
     s.remove(1)
     assert s.adds == 2 and s.removes == 1
+
+
+def _ref_add(sig, once, indexes):
+    for idx in indexes:
+        bit = 1 << idx
+        if sig & bit:
+            once &= ~bit
+        else:
+            sig |= bit
+            once |= bit
+    return sig, once
+
+
+def _ref_remove(sig, once, indexes):
+    for idx in indexes:
+        bit = 1 << idx
+        if once & bit:
+            sig &= ~bit
+            once &= ~bit
+    return sig, once
+
+
+@pytest.mark.parametrize("bits,hashes", [(16, 2), (64, 3), (2048, 2)])
+def test_summary_words_match_the_per_index_loop(bits, hashes):
+    # add, remove and rebuild through the filter, against the Figure 5
+    # per-index loop, on lines that include coinciding hash indexes
+    f = RedirectSummaryFilter(RedirectConfig(summary_bits=bits,
+                                             summary_hashes=hashes))
+    f.rebuild_threshold = 5
+    fam = f._sig._hash
+    rng = random.Random(bits * hashes)
+    colliding = list(itertools.islice(
+        (v for v in itertools.count() if len(set(fam.indexes(v))) < hashes), 6
+    ))
+    pool = colliding + rng.sample(range(1 << 30), 30)
+    sig = once = 0
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.45:
+            line = rng.choice(pool)
+            f.add(line)
+            sig, once = _ref_add(sig, once, fam.indexes(line))
+        elif roll < 0.9:
+            line = rng.choice(pool)
+            f.remove(line)
+            sig, once = _ref_remove(sig, once, fam.indexes(line))
+        else:
+            live = rng.sample(pool, 12)
+            if f.maybe_rebuild(live):
+                sig = once = 0
+                for line in live:
+                    sig, once = _ref_add(sig, once, fam.indexes(line))
+        assert (f._sig._sig, f._sig._once) == (sig, once)
+    assert f.rebuilds
 
 
 def test_union_with_no_new_bits_does_not_inflate_count():

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import BudgetExhausted
@@ -62,14 +64,6 @@ def test_negative_delay_rejected():
         q.schedule(-1, lambda: None)
 
 
-def test_at_schedules_absolute_time():
-    q = EventQueue()
-    seen = []
-    q.schedule(3, lambda: q.at(9, lambda: seen.append(q.now)))
-    q.run()
-    assert seen == [9]
-
-
 def test_event_budget_guard():
     q = EventQueue()
 
@@ -79,17 +73,6 @@ def test_event_budget_guard():
     q.schedule(1, rearm)
     with pytest.raises(RuntimeError, match="event budget"):
         q.run(max_events=100)
-
-
-def test_time_budget_guard():
-    q = EventQueue()
-
-    def rearm():
-        q.schedule(10, rearm)
-
-    q.schedule(10, rearm)
-    with pytest.raises(RuntimeError, match="time budget"):
-        q.run(max_time=1000)
 
 
 def test_len_counts_live_events():
@@ -173,36 +156,26 @@ def test_event_budget_leaves_the_tail_resumable():
     assert log == [0, 1, 2, 3, 4, 5]
 
 
-def test_time_budget_reports_the_last_executed_cycle():
-    q = EventQueue()
-    log = []
-    q.schedule(1, lambda: log.append(1))
-    q.schedule(9, lambda: log.append(9))
-    with pytest.raises(BudgetExhausted, match="time budget") as exc_info:
-        q.run(max_time=5)
-    assert log == [1]
-    assert exc_info.value.cycle == 1
-
-
-def test_time_budget_ignores_a_cancelled_tail():
+def test_event_budget_ignores_a_cancelled_tail():
     q = EventQueue()
     log = []
     q.schedule(1, lambda: log.append(1))
     q.schedule(9, lambda: log.append(9)).cancel()
-    assert q.run(max_time=5) == 1  # no raise: nothing live lies past 5
+    assert q.run(max_events=1) == 1  # no raise: nothing live is left
     assert log == [1]
 
 
-def test_step_advances_now_and_len():
+def test_budgeted_run_advances_now_and_len():
     q = EventQueue()
     q.schedule(4, lambda: None)
     q.schedule(7, lambda: None)
     assert len(q) == 2
-    assert q.step()
+    with pytest.raises(BudgetExhausted):
+        q.run(max_events=1)
     assert (q.now, len(q)) == (4, 1)
-    assert q.step()
+    assert q.run(max_events=1) == 1
     assert (q.now, len(q)) == (7, 0)
-    assert not q.step()
+    assert q.run(max_events=0) == 0
 
 
 # -- parked events ------------------------------------------------------
@@ -236,7 +209,7 @@ def _poll_log(parked: bool, period: int = 10, slots: int = 4):
     if parked:
         ev.park(period)
     # the un-park, or a no-op in the same slot for the rescheduling chain
-    q.at(last - period + 1, ev.unpark if parked else (lambda: None))
+    q.schedule(last - period + 1, ev.unpark if parked else (lambda: None))
     return log, q.run()
 
 
@@ -259,16 +232,18 @@ def test_rearms_count_against_the_event_budget():
     assert exc_info.value.cycle == 10
 
 
-def test_step_and_time_budget_rearm_parked_events():
+def test_event_budget_rearms_parked_events():
     q = EventQueue()
     log = []
     ev = q.schedule(4, lambda: log.append(q.now))
     ev.park(3)
-    assert q.step() and q.now == 4 and len(q) == 1
-    assert q.step() and q.now == 7 and log == []
-    with pytest.raises(BudgetExhausted, match="time budget") as exc_info:
-        q.run(max_time=20)
-    # re-armed at 10, 13, 16, 19; the next slot (22) lies past the budget
+    for now in (4, 7):
+        with pytest.raises(BudgetExhausted):
+            q.run(max_events=1)
+        assert q.now == now and len(q) == 1 and log == []
+    with pytest.raises(BudgetExhausted) as exc_info:
+        q.run(max_events=4)
+    # re-armed at 10, 13, 16, 19; the budget stops it before 22
     assert exc_info.value.context["events"] == 4
     assert exc_info.value.cycle == 19
     ev.unpark()
@@ -295,20 +270,21 @@ def test_unparked_event_fires_in_its_current_slot():
     assert hit == [15]
 
 
-def test_parked_events_are_live_for_len_peak_and_compaction():
+def test_parked_events_are_live_for_len_and_peak():
     q = EventQueue()
     parked = q.schedule(3, lambda: None)
     parked.park(3)
     assert len(q) == 1 and q.peak_queue == 1
-    q.step()  # a re-arm: still one live event, no new queue pressure
+    with pytest.raises(BudgetExhausted):
+        q.run(max_events=1)  # a re-arm: still one live event
     assert len(q) == 1 and q.peak_queue == 1
-    # enough cancelled garbage to force a compaction
+    # cancelled garbage is not live: it moves neither len nor the peak
     for _ in range(100):
         q.schedule(50, lambda: None).cancel()
-    assert q._dead < 100  # compacted at least once
-    assert [item[2] for item in q._heap if not item[2].cancelled] == [parked]
     assert len(q) == 1 and q.peak_queue == 2
-    assert q.step() and q.now == 6 and parked.parked
+    with pytest.raises(BudgetExhausted):
+        q.run(max_events=1)
+    assert q.now == 6 and parked.parked
 
 
 def test_only_pending_events_park_and_periods_are_positive():
@@ -319,3 +295,117 @@ def test_only_pending_events_park_and_periods_are_positive():
     ev.cancel()
     with pytest.raises(ValueError):
         ev.park(5)
+
+
+# -- reference model ----------------------------------------------------
+class _RefEvent:
+    def __init__(self, fn):
+        self.fn, self.state, self.period = fn, "pending", 0
+
+    def cancel(self):
+        if self.state in ("pending", "parked"):
+            self.state = "cancelled"
+
+    def park(self, period):
+        self.state, self.period = "parked", period
+
+    def unpark(self):
+        if self.state == "parked":
+            self.state = "pending"
+
+
+class _RefQueue:
+    """The kernel's contract as a list sorted by ``(time, seq)``: a
+    parked event re-arms with a fresh ``seq`` and counts as executed."""
+
+    def __init__(self):
+        self.items, self.seq, self.now, self.peak_queue = [], 0, 0, 0
+
+    def __len__(self):
+        return sum(ev.state in ("pending", "parked") for *_, ev in self.items)
+
+    def _push(self, time, ev):
+        self.items = sorted(self.items + [(time, self.seq, ev)],
+                            key=lambda item: item[:2])
+        self.seq += 1
+
+    def schedule(self, delay, fn):
+        ev = _RefEvent(fn)
+        self._push(self.now + delay, ev)
+        self.peak_queue = max(self.peak_queue, len(self))
+        return ev
+
+    def run(self, max_events=None):
+        executed = 0
+        while True:
+            self.items = [i for i in self.items if i[2].state != "cancelled"]
+            if not self.items:
+                return executed
+            if executed == max_events:
+                raise BudgetExhausted("budget", cycle=self.now, events=executed)
+            self.now, _, ev = self.items.pop(0)
+            executed += 1
+            if ev.state == "parked":
+                self._push(self.now + ev.period, ev)
+            else:
+                ev.state = "done"
+                ev.fn()
+
+
+def _random_program(seed: int, queue) -> list:
+    """Run a seeded random callback program on ``queue``; returns its
+    observable trace.  Callbacks schedule with delays 0-5, cancel, park
+    and unpark; the program runs in up to three event budgets, with
+    parked events released between them.  The RNG is drawn in delivery
+    order, so two queues agree on the trace only if they deliver alike."""
+    rng = random.Random(seed)
+    trace, events, status = [], [], []
+
+    def pick(state):
+        cands = [i for i, s in enumerate(status) if s == state]
+        return rng.choice(cands) if cands else None
+
+    def spawn():
+        tag = len(events)
+        status.append("pending")
+        events.append(queue.schedule(rng.randint(0, 5), lambda: fire(tag)))
+
+    def fire(tag):
+        status[tag] = "done"
+        trace.append((tag, queue.now))
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.45:
+                if len(events) < 60:
+                    spawn()
+            elif roll < 0.65:
+                if (i := pick(rng.choice(("pending", "parked")))) is not None:
+                    events[i].cancel()
+                    status[i] = "cancelled"
+            elif roll < 0.85:
+                if (i := pick("pending")) is not None:
+                    events[i].park(rng.randint(1, 5))
+                    status[i] = "parked"
+            elif (i := pick("parked")) is not None:
+                events[i].unpark()
+                status[i] = "pending"
+
+    for _ in range(rng.randint(1, 6)):
+        spawn()
+    for _ in range(3):
+        try:
+            trace.append(("drained", queue.run(max_events=rng.randint(1, 80))))
+        except BudgetExhausted as exc:
+            trace.append(("budget", exc.cycle, exc.context["events"]))
+        trace.append(("len", len(queue), queue.peak_queue))
+        for i, s in enumerate(status):
+            if s == "parked":
+                events[i].unpark()
+                status[i] = "pending"
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_programs_match_the_reference_queue(seed):
+    trace = _random_program(seed, EventQueue())
+    assert trace == _random_program(seed, _RefQueue())
