@@ -786,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=900.0,
                    help="per-run timeout in seconds")
     p.add_argument("--retries", type=int, default=1,
-                   help="crash/timeout retries per spec (fresh seed offset)")
+                   help="verbatim retries of a timed-out, crashed or "
+                        "corrupt run; a simulation error is never retried")
     p.add_argument("--artifacts", metavar="PATH",
                    help="append one JSONL record per run to PATH")
     p.add_argument("--resume", metavar="JOURNAL",

@@ -18,7 +18,8 @@ journal/cache/supervision layer claims:
 * **byte-identical results** — the merged results of killed+resumed
   equal an uninterrupted run of the same matrix, byte for byte;
 * **failures are terminal and typed** — anything that does fail carries
-  a typed error (``RetryBudgetExhausted``), never silently vanishes.
+  a typed error (``RetryBudgetExhausted`` for an injected fault that
+  outlived its retries), never silently vanishes.
 
 Injection is deterministic: each (plan seed, spec hash, fault kind)
 triple hashes to a uniform roll, and each armed fault fires **once**
@@ -231,8 +232,9 @@ def run_chaos_campaign(
     4. **audit** — the journal is replayed and the resilience
        invariants checked.
 
-    Retries are verbatim (seed offset 0): chaos faults are transient by
-    construction, and byte-identity requires re-running the *same*
+    Every injected fault is a failure of the infrastructure, which the
+    runner retries with the identical spec: chaos faults are transient
+    by construction, and byte-identity requires re-running the *same*
     spec, exactly the semantics a distributed runner needs for worker
     death.
     """
@@ -258,7 +260,6 @@ def run_chaos_campaign(
             cache=FlakyCache(cache_root, plan, markers),
             timeout=timeout,
             retries=retries,
-            retry_seed_offset=0,  # verbatim retries: faults are transient
             journal=CampaignJournal(journal_path),
             worker=ChaosWorker(plan, markers),
             backoff_base_s=0.0,  # no real sleeping inside the harness

@@ -1,8 +1,9 @@
 """Concurrent experiment execution.
 
 :class:`Runner` executes :class:`~repro.runner.spec.ExperimentSpec`
-lists with a ``ProcessPoolExecutor``: per-run timeouts, bounded retry
-with a fresh seed offset on crash, and graceful degradation to
+lists with a ``ProcessPoolExecutor``: per-run timeouts, bounded
+verbatim retry of infrastructure failures (a simulation error is the
+spec's result and is never retried), and graceful degradation to
 in-process serial execution when process pools are unavailable (or
 break mid-run).  Results cross the process boundary as
 :meth:`SimResult.to_json` strings, the same representation the on-disk
@@ -20,17 +21,19 @@ The module-level conveniences are the stable public API surface:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import RetryBudgetExhausted
+from repro.errors import ReproError, RetryBudgetExhausted
 from repro.runner.artifacts import ArtifactStore
 from repro.runner.cache import ResultCache
 from repro.runner.journal import CampaignJournal, SpecState
@@ -96,38 +99,40 @@ def _warm_init() -> None:
     import repro.workloads  # noqa: F401
 
 
+def _attempt(
+    worker: Callable[[ExperimentSpec], Any], spec: ExperimentSpec
+) -> tuple[str, Any, float]:
+    """Run one spec: a ``(status, payload, seconds)`` triple.
+
+    This is the one place that decides which failures are retryable.
+    ``"ok"`` carries the worker's payload.  A :class:`ReproError` raised
+    by the run (a deadlock, an exhausted event budget, an oracle
+    violation, an illegal scheme) is the spec's own result: ``"fail"``,
+    terminal on the first attempt, with ``(error type, message)`` as
+    payload.  Any other exception is a failure of the infrastructure:
+    ``"retry"`` with its message, since re-running the identical spec
+    may succeed.
+    """
+    start = time.monotonic()
+    try:
+        status, payload = "ok", worker(spec)
+    except ReproError as exc:
+        error_type = type(exc).__name__
+        status, payload = "fail", (error_type, f"{error_type}: {exc}")
+    except Exception as exc:
+        status, payload = "retry", f"{type(exc).__name__}: {exc}"
+    return status, payload, time.monotonic() - start
+
+
 def _chunk_worker(
     worker: Callable[[ExperimentSpec], Any], specs: tuple[ExperimentSpec, ...]
 ) -> list[tuple[str, Any, float]]:
-    """Run a chunk of specs in one task, amortizing submit/pickle cost.
+    """Pool task: run specs in order, one :func:`_attempt` triple each.
 
-    Returns one ``("ok", payload, seconds)`` or ``("err", message,
-    seconds)`` triple per spec — a crashing spec must not take its chunk
-    siblings down with it.
+    Several specs per task amortize the submit/pickle cost, and a
+    failing spec does not take its chunk siblings down with it.
     """
-    out: list[tuple[str, Any, float]] = []
-    for spec in specs:
-        start = time.monotonic()
-        try:
-            out.append(("ok", worker(spec), time.monotonic() - start))
-        except Exception as exc:
-            out.append((
-                "err",
-                f"{type(exc).__name__}: {exc}",
-                time.monotonic() - start,
-            ))
-    return out
-
-
-def _coerce_result(payload: Any) -> SimResult:
-    if isinstance(payload, SimResult):
-        return payload
-    if isinstance(payload, str):
-        return SimResult.from_json(payload)
-    raise TypeError(
-        f"worker returned {type(payload).__name__}, "
-        "expected SimResult or its JSON"
-    )
+    return [_attempt(worker, spec) for spec in specs]
 
 
 def _try_coerce(payload: Any) -> tuple[SimResult | None, str]:
@@ -138,8 +143,10 @@ def _try_coerce(payload: Any) -> tuple[SimResult | None, str]:
     *retryable spec failure*, not crash the whole campaign in the
     parent — the chaos harness injects exactly this.
     """
+    if isinstance(payload, SimResult):
+        return payload, ""
     try:
-        return _coerce_result(payload), ""
+        return SimResult.from_json(payload), ""
     except Exception as exc:
         return None, f"corrupt result payload: {type(exc).__name__}: {exc}"
 
@@ -154,12 +161,10 @@ class RunOutcome:
     attempts: int = 0
     duration_s: float = 0.0
     error: str | None = None
-    #: the typed error class name for terminal failures (e.g.
-    #: ``"RetryBudgetExhausted"``) — failures are typed, never bare text
+    #: the typed error class name for terminal failures: the run's own
+    #: error (e.g. ``"OracleViolation"``) or ``"RetryBudgetExhausted"``
+    #: — failures are typed, never bare text
     error_type: str | None = None
-    #: the spec actually executed — differs from ``spec`` only when a
-    #: crash retry re-ran with an offset seed
-    executed_spec: ExperimentSpec | None = None
     #: True when a resumed campaign satisfied this spec from a previous
     #: session (journal said done, cache supplied the bytes)
     resumed: bool = False
@@ -180,17 +185,20 @@ class Runner:
       before running and updated after; ``None`` disables caching.
     * ``timeout`` — per-run wall-clock budget in seconds (pool mode
       only; serial runs cannot be preempted).
-    * ``retries`` — how many times a crashed or timed-out run is
-      retried; each retry offsets the seed by ``retry_seed_offset`` so
-      a deterministic crash isn't replayed verbatim.
+    * ``retries`` — how many times a run that timed out, crashed the
+      worker or returned a corrupt payload is re-run, with the
+      identical spec.  A :class:`~repro.errors.ReproError` raised by
+      the simulation (say an ``OracleViolation``) is the spec's result
+      and is never retried.
     * ``artifacts`` — an :class:`ArtifactStore` (or path) appended to
       after every outcome.
     * ``progress`` — ``True`` for per-run progress/ETA lines on stderr,
       or a callable receiving each line.
     * ``worker`` — the pool task (a picklable
       ``spec -> SimResult | json-str``); replaceable for testing.
-    * ``chunk_size`` — specs per pool task when no ``timeout`` is set;
-      ``None`` sizes chunks automatically.
+    * ``chunk_size`` — specs per pool task when no ``timeout`` is set
+      (with one, every task is one spec); ``None`` sizes chunks
+      automatically.
     * ``journal`` — a :class:`~repro.runner.journal.CampaignJournal`
       (or its path): every spec state transition is checkpointed
       write-ahead, and an existing journal resumes the campaign it
@@ -218,7 +226,6 @@ class Runner:
         cache: ResultCache | str | Path | None = None,
         timeout: float | None = None,
         retries: int = 1,
-        retry_seed_offset: int = 100_003,
         artifacts: ArtifactStore | str | Path | None = None,
         progress: bool | Callable[[str], None] = False,
         worker: Callable[[ExperimentSpec], Any] | None = None,
@@ -237,7 +244,6 @@ class Runner:
         self.cache = cache
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.retry_seed_offset = retry_seed_offset
         if isinstance(artifacts, (str, Path)):
             artifacts = ArtifactStore(artifacts)
         self.artifacts = artifacts
@@ -295,10 +301,9 @@ class Runner:
         """Yield each outcome as soon as it is known (streaming).
 
         Cache hits come first; pooled results follow in completion
-        order (submission order when a per-run ``timeout`` is set,
-        whose bookkeeping needs ordered waits).  Useful for long
-        matrices: consumers can plot/persist results while the rest of
-        the sweep is still running, instead of gathering at the end.
+        order.  Useful for long matrices: consumers can plot/persist
+        results while the rest of the sweep is still running, instead
+        of gathering at the end.
         """
         spec_list = specs.specs() if isinstance(specs, RunMatrix) else list(specs)
         for _i, outcome in self._run_indexed(spec_list):
@@ -406,138 +411,15 @@ class Runner:
                 self.serial_fallbacks += 1
                 break
             broken: list[int] = []
-            if self.timeout is None:
-                yield from self._pool_chunked(
-                    pool, worker, specs, remaining, broken
-                )
-            else:
-                yield from self._pool_per_spec(
-                    pool, worker, specs, remaining, broken
-                )
+            yield from self._pool_dispatch(
+                pool, worker, specs, remaining, broken
+            )
             if not broken:
                 self._consecutive_breaks = 0
                 remaining = []
             else:
                 remaining = broken  # bookkeeping happened in _pool_broke
         leftover.extend(remaining)
-
-    def _pool_chunked(
-        self,
-        pool: ProcessPoolExecutor,
-        worker: Callable[[ExperimentSpec], Any],
-        specs: Sequence[ExperimentSpec],
-        pending: list[int],
-        broken: list[int],
-    ) -> Iterator[tuple[int, RunOutcome]]:
-        """Chunked streaming path (no per-run timeout to police).
-
-        Specs travel to the pool several per task so the pickle/submit
-        overhead amortizes, and resolved outcomes are yielded in
-        completion order.  Specs that failed inside a chunk (including
-        corrupt payloads) are retried individually with the usual seed
-        offset.
-        """
-        chunk_size = self.chunk_size or max(
-            1, len(pending) // (max(1, self._pool_workers) * 4)
-        )
-        chunks = [
-            pending[at:at + chunk_size]
-            for at in range(0, len(pending), chunk_size)
-        ]
-        unresolved: set[int] = set(pending)
-        for chunk in chunks:
-            for i in chunk:
-                self._journal_running(specs[i], attempt=1)
-        try:
-            futures = {
-                pool.submit(
-                    _chunk_worker, worker, tuple(specs[i] for i in chunk)
-                ): chunk
-                for chunk in chunks
-            }
-        except (BrokenProcessPool, RuntimeError):
-            self._pool_broke(unresolved, broken)
-            return
-        retryable: list[tuple[int, str]] = []
-        for future in as_completed(futures):
-            chunk = futures[future]
-            try:
-                payloads = future.result()
-            except BrokenProcessPool:
-                self._pool_broke(unresolved, broken)
-                return
-            for i, (status, payload, seconds) in zip(chunk, payloads):
-                result = None
-                if status == "ok":
-                    result, error = _try_coerce(payload)
-                else:
-                    error = payload
-                if result is not None:
-                    outcome = RunOutcome(
-                        specs[i],
-                        result,
-                        attempts=1,
-                        duration_s=seconds,
-                        executed_spec=specs[i],
-                    )
-                    unresolved.discard(i)
-                    self._finish(outcome)
-                    yield i, outcome
-                elif self.retries <= 0:
-                    outcome = self._exhausted(specs[i], 1, error)
-                    unresolved.discard(i)
-                    self._finish(outcome)
-                    yield i, outcome
-                else:
-                    retryable.append((i, error))
-        for i, error in retryable:
-            outcome = self._pool_retry(pool, worker, specs[i], error)
-            if outcome is None:
-                self._pool_broke(unresolved, broken)
-                return
-            unresolved.discard(i)
-            self._finish(outcome)
-            yield i, outcome
-
-    def _pool_retry(
-        self,
-        pool: ProcessPoolExecutor,
-        worker: Callable[[ExperimentSpec], Any],
-        spec: ExperimentSpec,
-        error: str,
-    ) -> RunOutcome | None:
-        """Retry one chunk-failed spec individually; None = pool broke.
-
-        Attempt ``k`` runs with the seed offset ``(k-1) *
-        retry_seed_offset`` so a deterministic simulation crash is not
-        replayed verbatim (offset 0 = verbatim re-runs, the chaos
-        harness's choice, where faults are transient by construction).
-        """
-        for attempt in range(2, self.retries + 2):
-            run_spec = self._retry_spec(spec, attempt - 1)
-            self._journal_running(spec, attempt=attempt)
-            start = time.monotonic()
-            try:
-                payload = pool.submit(worker, run_spec).result()
-            except BrokenProcessPool:
-                return None
-            except RuntimeError:
-                # pool already unusable (shutting down)
-                return None
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            result, coerce_error = _try_coerce(payload)
-            if result is not None:
-                return RunOutcome(
-                    spec,
-                    result,
-                    attempts=attempt,
-                    duration_s=time.monotonic() - start,
-                    executed_spec=run_spec,
-                )
-            error = coerce_error
-        return self._exhausted(spec, self.retries + 1, error)
 
     def _pool_broke(self, unresolved: set[int], broken: list[int]) -> None:
         """Handle a pool breakage: recycle, back off, maybe open circuit.
@@ -592,7 +474,7 @@ class Runner:
         if self.journal is not None:
             self.journal.record_degradation(event)
 
-    def _pool_per_spec(
+    def _pool_dispatch(
         self,
         pool: ProcessPoolExecutor,
         worker: Callable[[ExperimentSpec], Any],
@@ -600,116 +482,149 @@ class Runner:
         pending: list[int],
         broken: list[int],
     ) -> Iterator[tuple[int, RunOutcome]]:
-        """One future per spec, waited in submission order.
+        """The one dispatch loop: run ``pending`` as pool tasks.
 
-        Used when a per-run ``timeout`` is set: the budget applies to
-        each spec separately, which needs an ordered wait per future.
-        A timed-out task cannot be preempted, so the pool is recycled
-        at the end of the run rather than handed a poisoned worker.
+        A task is a tuple of spec indices run by :func:`_chunk_worker`:
+        ``chunk_size`` specs (auto-sized) when no ``timeout`` is set,
+        one spec when it is, so the budget stays per spec.  Without a
+        timeout every task is submitted at once and the pool prefetches;
+        with one, at most one task per worker is in flight, so a task
+        starts when it is submitted and its deadline counts from then.
+        A spec that earns a retry goes back on the queue as one more
+        single-spec task.  A timed-out task cannot be preempted: it
+        keeps its worker, and once every worker is held so, the pool
+        is swapped for a fresh one.
         """
-        timed_out = False
-        for i in pending:
-            self._journal_running(specs[i], attempt=1)
-        try:
-            tasks = {
-                i: (pool.submit(worker, specs[i]), 1, specs[i])
-                for i in pending
-            }
-        except (BrokenProcessPool, RuntimeError):
-            self._pool_broke(set(pending), broken)
-            return
+        workers = self._pool_workers
+        if self.timeout is None:
+            size = self.chunk_size or max(1, len(pending) // (workers * 4))
+            slots = budget = math.inf
+        else:
+            size, slots, budget = 1, workers, self.timeout
+        queue = deque(
+            (tuple(pending[at:at + size]), 1)
+            for at in range(0, len(pending), size)
+        )
         unresolved = set(pending)
-        for i in pending:
-            while i in unresolved:
-                future, attempt, run_spec = tasks[i]
-                start = time.monotonic()
-                result = None
-                try:
-                    result, error = _try_coerce(future.result(self.timeout))
-                except FuturesTimeoutError:
-                    future.cancel()
-                    timed_out = True
-                    error = f"timed out after {self.timeout}s"
-                except BrokenProcessPool:
-                    self._pool_broke(unresolved, broken)
-                    return
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                if result is not None:
-                    outcome = RunOutcome(
-                        specs[i],
-                        result,
-                        attempts=attempt,
-                        duration_s=time.monotonic() - start,
-                        executed_spec=run_spec,
+        # future -> (spec indices, attempt, deadline)
+        live: dict[Future, tuple[tuple[int, ...], int, float]] = {}
+        stuck: list[Future] = []  # timed out, still holding a worker
+        finished: list[tuple[tuple[int, ...], int, list]] = []
+        while queue or live or finished:
+            stuck = [future for future in stuck if not future.done()]
+            try:
+                if queue and not live and len(stuck) >= workers:
+                    self._close_pool()
+                    stuck = []
+                    pool = self._ensure_pool(workers)
+                while queue and len(live) + len(stuck) < slots:
+                    indices, attempt = queue.popleft()
+                    for i in indices:
+                        self._journal_running(specs[i], attempt=attempt)
+                    future = pool.submit(
+                        _chunk_worker, worker, tuple(specs[i] for i in indices)
                     )
-                    unresolved.discard(i)
-                    self._finish(outcome)
-                    yield i, outcome
-                    break
-                if attempt > self.retries:
-                    outcome = self._exhausted(specs[i], attempt, error)
-                    unresolved.discard(i)
-                    self._finish(outcome)
-                    yield i, outcome
-                    break
-                retry_spec = self._retry_spec(specs[i], attempt)
-                self._journal_running(specs[i], attempt=attempt + 1)
-                try:
-                    tasks[i] = (
-                        pool.submit(worker, retry_spec),
-                        attempt + 1,
-                        retry_spec,
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    self._pool_broke(unresolved, broken)
-                    return
-        if timed_out:
+                    live[future] = (indices, attempt, time.monotonic() + budget)
+            except (RuntimeError, OSError):
+                # BrokenProcessPool, a shut-down pool, or no fresh pool
+                self._pool_broke(unresolved, broken)
+                return
+            if finished:
+                # settled once the freed workers have their next task
+                for indices, attempt, triples in finished:
+                    for i, triple in zip(indices, triples):
+                        outcome = self._settle(specs[i], attempt, *triple)
+                        if outcome is None:
+                            queue.append(((i,), attempt + 1))
+                            continue
+                        unresolved.discard(i)
+                        self._finish(outcome)
+                        yield i, outcome
+                finished = []
+                continue
+            # the first completion (or deadline); through as_completed,
+            # whose waits benchmarks/e2e/layers.py times as pool_wait
+            first = min(deadline for _, _, deadline in live.values())
+            try:
+                next(as_completed(
+                    live,
+                    None if first == math.inf
+                    else max(0.0, first - time.monotonic()),
+                ))
+            except FuturesTimeoutError:
+                pass
+            now = time.monotonic()
+            for future, (indices, attempt, deadline) in list(live.items()):
+                if future.done():
+                    try:
+                        triples = future.result()
+                    except BrokenProcessPool:
+                        self._pool_broke(unresolved, broken)
+                        return
+                    except Exception as exc:
+                        lost = ("retry", f"{type(exc).__name__}: {exc}", 0.0)
+                        triples = [lost] * len(indices)
+                elif deadline <= now:
+                    if not future.cancel():
+                        stuck.append(future)
+                    expired = ("retry", f"timed out after {budget}s", 0.0)
+                    triples = [expired] * len(indices)
+                else:
+                    continue
+                del live[future]
+                finished.append((indices, attempt, triples))
+        if stuck:
             # abandoned tasks still occupy workers; start fresh next run
             self._close_pool()
 
     # -- serial path -----------------------------------------------------
     def _run_serial(self, spec: ExperimentSpec) -> RunOutcome:
-        error = "not attempted"
-        for attempt in range(1, self.retries + 2):
-            run_spec = spec if attempt == 1 else self._retry_spec(spec, attempt - 1)
+        worker = self._worker or execute_spec
+        attempt = 0
+        outcome: RunOutcome | None = None
+        while outcome is None:
+            attempt += 1
             self._journal_running(spec, attempt=attempt)
-            start = time.monotonic()
-            try:
-                if self._worker is None:
-                    result = execute_spec(run_spec)
-                else:
-                    result = _coerce_result(self._worker(run_spec))
-                return RunOutcome(
-                    spec,
-                    result,
-                    attempts=attempt,
-                    duration_s=time.monotonic() - start,
-                    executed_spec=run_spec,
-                )
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        return self._exhausted(spec, self.retries + 1, error)
+            outcome = self._settle(spec, attempt, *_attempt(worker, spec))
+        return outcome
 
     # -- shared plumbing -------------------------------------------------
-    def _retry_spec(self, spec: ExperimentSpec, attempt: int) -> ExperimentSpec:
-        return spec.with_(seed=spec.seed + attempt * self.retry_seed_offset)
+    def _settle(
+        self,
+        spec: ExperimentSpec,
+        attempt: int,
+        status: str,
+        payload: Any,
+        seconds: float,
+    ) -> RunOutcome | None:
+        """The outcome of one :func:`_attempt`; None = retry the spec.
 
-    def _exhausted(
-        self, spec: ExperimentSpec, attempts: int, error: str
-    ) -> RunOutcome:
-        """A terminal, typed failure: the spec's retry budget is gone."""
+        An infrastructure failure past the retry budget is a terminal,
+        typed :class:`RetryBudgetExhausted` failure.
+        """
+        if status == "fail":
+            error_type, error = payload
+            return RunOutcome(
+                spec, attempts=attempt, duration_s=seconds,
+                error=error, error_type=error_type,
+            )
+        error = payload
+        if status == "ok":
+            result, error = _try_coerce(payload)
+            if result is not None:
+                return RunOutcome(
+                    spec, result, attempts=attempt, duration_s=seconds
+                )
+        if attempt <= self.retries:
+            return None
         exc = RetryBudgetExhausted(
             "retry budget exhausted",
             spec_label=spec.label(),
-            attempts=attempts,
+            attempts=attempt,
             last_error=error,
         )
         return RunOutcome(
-            spec,
-            attempts=attempts,
-            error=str(exc),
-            error_type=type(exc).__name__,
+            spec, attempts=attempt, error=str(exc), error_type=type(exc).__name__
         )
 
     def _journal_running(self, spec: ExperimentSpec, attempt: int) -> None:
@@ -721,10 +636,7 @@ class Runner:
         cache_ok = outcome.cached
         if outcome.ok and not outcome.cached and self.cache is not None:
             try:
-                # cache under the spec that actually ran (honest on retries)
-                self.cache.put(
-                    outcome.executed_spec or outcome.spec, outcome.result
-                )
+                self.cache.put(outcome.spec, outcome.result)
                 cache_ok = True
             except OSError as exc:
                 # a failing cache must not take the campaign down: the

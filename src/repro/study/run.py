@@ -150,10 +150,6 @@ def run_study(
         cache=cache,
         timeout=timeout,
         retries=retries,
-        # a study ranks its own seeds: a retry re-runs the spec verbatim,
-        # so a deterministic failure (an oracle violation) stays a
-        # failure instead of being replaced by another seed's run
-        retry_seed_offset=0,
         progress=progress,
         journal=journal,
     )

@@ -3,11 +3,17 @@
 import multiprocessing
 import os
 import time
+from collections import Counter
 
+import pytest
+
+from repro.errors import OracleViolation
 from repro.runner import ExperimentSpec, ResultCache, Runner
 from repro.runner.executor import execute_spec
 
 TINY = ExperimentSpec("ssca2", scheme="suv", scale="tiny", cores=4)
+#: the pool path (two workers) and the in-process serial path
+PATHS = pytest.mark.parametrize("workers", [2, 1], ids=["pool", "serial"])
 
 
 # -- pool workers (module-level so they pickle) --------------------------
@@ -17,7 +23,7 @@ def sleepy_worker(spec):
 
 
 def crashy_worker(spec):
-    # deterministic crash until the retry seed offset kicks in
+    # a deterministic infrastructure-style crash for seeds below 1000
     if spec.seed < 1000:
         raise RuntimeError("boom")
     return execute_spec(spec).to_json()
@@ -33,6 +39,47 @@ def pool_killing_worker(spec):
 def garbage_worker(spec):
     # a mangled payload crossing the process boundary
     return "{definitely not a result"
+
+
+def slow_start_worker(spec):
+    time.sleep(0.3)
+    return execute_spec(spec).to_json()
+
+
+class Flaky:
+    """Fails a spec's first call (or every call), then runs it.
+
+    A marker file per spec hash under ``root`` records the first call,
+    as the chaos harness's once-only faults do, and every call appends
+    the spec hash to ``root/calls.log`` so a test can tell which specs
+    ran and how often.
+    """
+
+    def __init__(self, root, failure, every=False):
+        self.root = str(root)
+        self.failure = failure
+        self.every = every
+
+    def __call__(self, spec):
+        key = spec.spec_hash()
+        with open(os.path.join(self.root, "calls.log"), "a") as log:
+            log.write(key + "\n")
+        try:
+            open(os.path.join(self.root, key), "x").close()
+        except FileExistsError:
+            if not self.every:
+                return execute_spec(spec).to_json()
+        if self.failure == "exit":
+            os._exit(1)
+        if self.failure == "hang":
+            time.sleep(4)
+        if self.failure == "oracle":
+            raise OracleViolation("injected violation")
+        raise RuntimeError("boom")
+
+
+def calls(root):
+    return Counter((root / "calls.log").read_text().split())
 
 
 # -- serial execution -----------------------------------------------------
@@ -85,21 +132,23 @@ def test_timeout_reported_as_error():
     assert all("timed out" in o.error for o in outcomes)
 
 
-def test_crash_retried_with_offset_seed():
-    runner = Runner(
-        max_workers=2, retries=1, retry_seed_offset=1000, worker=crashy_worker
-    )
-    outcomes = runner.run([TINY.with_(seed=3), TINY.with_(seed=4)])
-    for outcome in outcomes:
+@PATHS
+def test_crash_retried_verbatim(workers, tmp_path):
+    specs = [TINY.with_(seed=3), TINY.with_(seed=4)]
+    with Runner(
+        max_workers=workers, retries=1, worker=Flaky(tmp_path, "crash")
+    ) as runner:
+        outcomes = runner.run(specs)
+    for spec, outcome in zip(specs, outcomes):
         assert outcome.ok
         assert outcome.attempts == 2
-        assert outcome.executed_spec.seed == outcome.spec.seed + 1000
+        assert outcome.result.to_json() == execute_spec(spec).to_json()
+    # both attempts ran the identical spec: no reseeding
+    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
 
 
 def test_retries_exhausted_reports_error():
-    runner = Runner(
-        max_workers=2, retries=1, retry_seed_offset=1, worker=crashy_worker
-    )
+    runner = Runner(max_workers=2, retries=1, worker=crashy_worker)
     outcomes = runner.run([TINY.with_(seed=1), TINY.with_(seed=2)])
     assert all(not o.ok for o in outcomes)
     assert all("boom" in o.error for o in outcomes)
@@ -118,24 +167,22 @@ def test_timeout_retry_accounting():
         assert "timed out" in outcome.error
 
 
-def test_pool_retry_seed_offset_accounting():
-    # chunked path: attempt k runs with seed + (k-1) * offset, so the
-    # third attempt (3 + 2*500 = 1003) clears crashy_worker's threshold
+def test_pool_retry_accounting_is_verbatim(tmp_path):
+    # a budget of two retries, of which a fail-once spec spends one
+    specs = [TINY.with_(seed=3), TINY.with_(seed=4)]
     with Runner(
-        max_workers=2, retries=2, retry_seed_offset=500,
-        worker=crashy_worker, chunk_size=1,
+        max_workers=2, retries=2, worker=Flaky(tmp_path, "crash"),
+        chunk_size=1,
     ) as runner:
-        outcomes = runner.run([TINY.with_(seed=3), TINY.with_(seed=4)])
+        outcomes = runner.run(specs)
     for outcome in outcomes:
         assert outcome.ok
-        assert outcome.attempts == 3
-        assert outcome.executed_spec.seed == outcome.spec.seed + 1000
+        assert outcome.attempts == 2
+    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
 
 
 def test_exhaustion_is_typed():
-    runner = Runner(
-        max_workers=1, retries=1, retry_seed_offset=1, worker=crashy_worker
-    )
+    runner = Runner(max_workers=1, retries=1, worker=crashy_worker)
     outcome = runner.run_one(TINY.with_(seed=1))
     assert not outcome.ok
     assert outcome.error_type == "RetryBudgetExhausted"
@@ -151,6 +198,71 @@ def test_corrupt_payload_is_retried_not_fatal():
         assert not outcome.ok
         assert outcome.error_type == "RetryBudgetExhausted"
         assert "corrupt result payload" in outcome.error
+
+
+# -- the retry rule: only infrastructure failures, always verbatim --------
+@PATHS
+def test_simulation_error_is_terminal_on_the_first_attempt(workers):
+    specs = [TINY.with_(seed=s, max_events=100) for s in (1, 2)]
+    with Runner(max_workers=workers, retries=2) as runner:
+        outcomes = runner.run(specs)
+    for outcome in outcomes:
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error_type == "BudgetExhausted"
+        assert outcome.error.startswith("BudgetExhausted: ")
+
+
+@PATHS
+def test_oracle_violation_is_run_exactly_once(workers, tmp_path):
+    specs = [TINY.with_(seed=1), TINY.with_(seed=2)]
+    worker = Flaky(tmp_path, "oracle", every=True)
+    with Runner(max_workers=workers, retries=2, worker=worker) as runner:
+        outcomes = runner.run(specs)
+    for outcome in outcomes:
+        assert outcome.attempts == 1
+        assert outcome.error_type == "OracleViolation"
+    assert calls(tmp_path) == {spec.spec_hash(): 1 for spec in specs}
+
+
+def test_killed_worker_reruns_the_identical_spec(tmp_path):
+    # os._exit breaks the pool; only a pool child can take that path
+    specs = [TINY.with_(seed=1), TINY.with_(seed=2)]
+    with Runner(
+        max_workers=2, retries=1, worker=Flaky(tmp_path, "exit"),
+        backoff_base_s=0.0,
+    ) as runner:
+        outcomes = runner.run(specs)
+    for spec, outcome in zip(specs, outcomes):
+        assert outcome.ok
+        assert outcome.result.to_json() == execute_spec(spec).to_json()
+    assert set(calls(tmp_path)) == {spec.spec_hash() for spec in specs}
+    assert runner.pool_breakages >= 1
+
+
+def test_timed_out_spec_reruns_the_identical_spec(tmp_path):
+    # a timeout needs a pool: a serial run cannot be preempted
+    specs = [TINY.with_(seed=1), TINY.with_(seed=2)]
+    with Runner(
+        max_workers=2, timeout=2.0, retries=1, worker=Flaky(tmp_path, "hang")
+    ) as runner:
+        outcomes = runner.run(specs)
+    for spec, outcome in zip(specs, outcomes):
+        assert outcome.ok and outcome.attempts == 2
+        assert outcome.result.to_json() == execute_spec(spec).to_json()
+    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
+
+
+def test_pooled_duration_is_measured_in_the_worker():
+    # with a timeout every spec is its own task; a spec that finished
+    # next to a slower one must still report its own run time
+    specs = [TINY.with_(seed=s) for s in (1, 2, 3, 4)]
+    with Runner(
+        max_workers=2, timeout=60.0, retries=0, worker=slow_start_worker
+    ) as runner:
+        outcomes = runner.run(specs)
+    assert all(o.ok for o in outcomes)
+    assert all(o.duration_s >= 0.3 for o in outcomes)
 
 
 # -- graceful degradation to serial ---------------------------------------
@@ -358,15 +470,16 @@ def test_chunked_pool_matches_serial():
     ]
 
 
-def test_chunked_crash_retried_with_offset_seed():
+def test_chunked_crash_retried_verbatim(tmp_path):
+    specs = [TINY.with_(seed=1), TINY.with_(seed=2)]
     with Runner(
-        max_workers=2, retries=1, retry_seed_offset=1000,
-        worker=crashy_worker, chunk_size=2,
+        max_workers=2, retries=1, worker=Flaky(tmp_path, "crash"),
+        chunk_size=2,
     ) as runner:
-        outcomes = runner.run([TINY.with_(seed=1), TINY.with_(seed=2)])
+        outcomes = runner.run(specs)
     assert all(o.ok for o in outcomes)
     assert all(o.attempts == 2 for o in outcomes)
-    assert all(o.executed_spec.seed >= 1000 for o in outcomes)
+    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
 
 
 def test_chunk_failure_does_not_take_siblings_down():

@@ -197,6 +197,8 @@ def test_ci_sweeps_every_legal_name_under_the_oracle():
     assert "schemes --list" in sweep  # every legal composed name
     assert "--cores \"$cores\"" in sweep and "for cores in 4 16" in sweep
     assert "tests/data/oracle_known_violations.json" in sweep
+    # every failure carries its own type: the ratchet judges it exactly
+    assert 'r["error_type"] != "OracleViolation"' in sweep
 
 
 def test_known_oracle_violations_name_real_runs():

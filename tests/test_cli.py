@@ -122,6 +122,39 @@ def test_matrix_report_appended_to_artifacts(tmp_path):
     assert records[-1]["report"]["ok"] == 1
 
 
+def test_matrix_reports_a_listed_oracle_violation_as_failed(
+    capsys, tmp_path, monkeypatch
+):
+    import json
+    from pathlib import Path
+
+    # the first known violation: it must fail once, typed, never be
+    # replaced by a retried run on another seed
+    known = json.loads(
+        (Path(__file__).parent / "data" / "oracle_known_violations.json")
+        .read_text()
+    )[0]
+    assert known == {"workload": "vacation", "scheme": "dyntm",
+                     "seed": 3, "cores": 4}
+    monkeypatch.chdir(tmp_path)
+    artifacts = tmp_path / "runs.jsonl"
+    rc = main(["matrix", "--workloads", "vacation", "--schemes", "dyntm",
+               "--seeds", "3", "--scale", "tiny", "--cores", "4",
+               "--check", "--no-cache", "--quiet",
+               "--artifacts", str(artifacts)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "0 ok, 1 failed" in out
+    assert "attempts  : 1 (0 retries)" in out
+    (record,) = [
+        json.loads(line) for line in artifacts.read_text().splitlines()
+        if "spec_hash" in json.loads(line)
+    ]
+    assert record["error_type"] == "OracleViolation"
+    assert record["attempts"] == 1
+    assert record["spec"]["seed"] == 3
+
+
 def test_cache_verify_command(capsys, tmp_path):
     from repro.runner import ExperimentSpec, ResultCache
     from repro.runner.executor import execute_spec
