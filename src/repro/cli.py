@@ -133,7 +133,10 @@ def _run_specs(args: argparse.Namespace, specs: list[ExperimentSpec]) -> list[Si
     failed = [out for out in outcomes if not out.ok]
     if failed:
         for out in failed:
-            print(f"error: {out.spec.label()}: {out.error}", file=sys.stderr)
+            print(
+                f"error: {out.spec.label()}: {out.error_type}: {out.error}",
+                file=sys.stderr,
+            )
         raise SystemExit(1)
     return [out.result for out in outcomes]
 
@@ -439,7 +442,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             rows.append([
                 out.spec.workload, out.spec.scheme,
                 out.spec.fault_plan or "(none)", "-", "-", "-",
-                f"ERROR: {out.error}",
+                f"ERROR: {out.error_type}: {out.error}",
             ])
             continue
         injected = sum(1 for ev in res.fault_trace if ev.get("hit"))

@@ -162,6 +162,16 @@ class UnknownSchemeError(ReproError, ValueError):
         super().__init__(message)
 
 
+class ConfigError(ReproError, ValueError):
+    """A spec's configuration does not build: an unknown section or
+    field in ``config_overrides``, or a value the config rejects.
+
+    A malformed spec fails the same way on every attempt, so it is the
+    run's own typed result, never retried.  Inherits ``ValueError`` so
+    callers that catch the old bare ``ValueError`` keep working.
+    """
+
+
 class IncompatiblePolicyError(ReproError, ValueError):
     """A scheme composition crossed physically-incompatible policy axes.
 

@@ -124,25 +124,3 @@ class TxFrame:
         self.vm.clear()
         self.oracle_ops.clear()
         self.attempt += 1
-
-    # conflict membership tests ----------------------------------------
-    def may_read_conflict(self, line: int) -> bool:
-        """Would a remote *write* to ``line`` conflict with this frame?"""
-        return self.read_sig.test(line) or self.write_sig.test(line)
-
-    def may_write_conflict(self, line: int) -> bool:
-        """Would a remote *read* of ``line`` conflict with this frame?"""
-        return self.write_sig.test(line)
-
-    # mask variants: the conflict scan probes one line against many
-    # frames; the caller computes ``family.mask(line)`` once and reuses
-    # it.  Both signatures share the same hash family (one silicon
-    # matrix), so one mask serves both — but each signature is tested
-    # separately: OR-ing the filter words first would merge bit sets and
-    # manufacture false positives.
-    def may_read_conflict_mask(self, mask: int) -> bool:
-        return (self.read_sig.test_mask(mask)
-                or self.write_sig.test_mask(mask))
-
-    def may_write_conflict_mask(self, mask: int) -> bool:
-        return self.write_sig.test_mask(mask)

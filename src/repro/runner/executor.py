@@ -107,18 +107,17 @@ def _attempt(
     This is the one place that decides which failures are retryable.
     ``"ok"`` carries the worker's payload.  A :class:`ReproError` raised
     by the run (a deadlock, an exhausted event budget, an oracle
-    violation, an illegal scheme) is the spec's own result: ``"fail"``,
-    terminal on the first attempt, with ``(error type, message)`` as
-    payload.  Any other exception is a failure of the infrastructure:
-    ``"retry"`` with its message, since re-running the identical spec
-    may succeed.
+    violation, an illegal scheme, a malformed config) is the spec's own
+    result: ``"fail"``, terminal on the first attempt, with ``(error
+    type, message)`` as payload.  Any other exception is a failure of
+    the infrastructure: ``"retry"`` with its message, since re-running
+    the identical spec may succeed.
     """
     start = time.monotonic()
     try:
         status, payload = "ok", worker(spec)
     except ReproError as exc:
-        error_type = type(exc).__name__
-        status, payload = "fail", (error_type, f"{error_type}: {exc}")
+        status, payload = "fail", (type(exc).__name__, str(exc))
     except Exception as exc:
         status, payload = "retry", f"{type(exc).__name__}: {exc}"
     return status, payload, time.monotonic() - start
@@ -693,7 +692,7 @@ class Runner:
                 f"({outcome.duration_s:.1f}s)"
             )
         else:
-            status = f"FAILED: {outcome.error}"
+            status = f"FAILED: {outcome.error_type}: {outcome.error}"
         elapsed = time.monotonic() - self._t0
         eta = elapsed / done * (total - done) if done else 0.0
         line = (

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.config import HTMConfig, SimConfig
-from repro.errors import IncompatiblePolicyError
+from repro.errors import ConfigError, IncompatiblePolicyError
 from repro.htm.policy import SchemeComposition
 
 #: bump when the spec encoding changes, so stale cache entries never match
@@ -132,13 +132,6 @@ class ExperimentSpec:
         (``"section.field"`` replaces one field of a config section;
         a bare ``"field"`` replaces a top-level ``SimConfig`` field).
         """
-        config = SimConfig(
-            n_cores=self.cores,
-            htm=HTMConfig(
-                resolution=self.resolution,
-                start_stagger=self.stagger,
-            ),
-        )
         top: dict[str, Any] = {}
         sections: dict[str, dict[str, Any]] = {}
         for path, value in self.config_overrides:
@@ -148,6 +141,13 @@ class ExperimentSpec:
             else:
                 top[path] = value
         try:
+            config = SimConfig(
+                n_cores=self.cores,
+                htm=HTMConfig(
+                    resolution=self.resolution,
+                    start_stagger=self.stagger,
+                ),
+            )
             if top:
                 config = replace(config, **top)
             for section, kv in sections.items():
@@ -156,8 +156,8 @@ class ExperimentSpec:
                 config = replace(
                     config, **{section: replace(getattr(config, section), **kv)}
                 )
-        except TypeError as exc:
-            raise ValueError(f"bad config override: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config: {exc}") from exc
         return config
 
     # -- serialization / hashing ----------------------------------------

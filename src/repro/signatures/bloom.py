@@ -42,19 +42,6 @@ class BloomSignature:
         mask = self._hash.mask(value)
         return self._word & mask == mask
 
-    def test_mask(self, mask: int) -> bool:
-        """Membership test against a pre-computed H3 mask.
-
-        The conflict scan probes one line against many signatures; the
-        caller fetches ``family.mask(line)`` once and reuses it here.
-        """
-        return self._word & mask == mask
-
-    @property
-    def family(self) -> H3HashFamily:
-        """The shared hash family (source of pre-computed masks)."""
-        return self._hash
-
     def clear(self) -> None:
         self._word = 0
         self._count = 0

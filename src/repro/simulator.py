@@ -36,7 +36,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.config import LINE_SHIFT, SimConfig
 from repro.errors import DeadlockError, InvariantViolation, TransactionError
@@ -746,19 +746,28 @@ class Simulator:
                     core.doomed_depth = 0
                     self._begin_abort(core)
                     return
-                blocker = self._lazy_commit_blocker(core, frame)
-                if blocker is not None:
+                # the committer probes its write set as a write: a
+                # visible holder of those lines must finish first
+                ctx = core.ctx
+                masks = [self._mask_of(line) for line in frame.write_lines]
+                hit = next(self._holders(ctx, masks, True), None)
+                if hit is not None:
                     arb.release(core.idx)
-                    self._stall_on(core, blocker, ("commit", tx_value))
+                    holder = hit[0]
+                    if holder is None:
+                        # suspended: yield the core so it can run
+                        ctx.pending_op = ("commit", tx_value)
+                        self._park(core, "stall")
+                    else:
+                        self._stall_on(core, holder, ("commit", tx_value))
                     return
-                if self._multiplex and self._suspended_blocker(core, frame):
-                    # a suspended eager transaction overlaps our write
-                    # set: yield the core so it can finish first
-                    arb.release(core.idx)
-                    core.pending_op = ("commit", tx_value)
-                    self._park(core, "stall")
-                    return
-                self._doom_lazy_losers(core, frame)
+                # committer wins: hidden (lazy) holders of those lines
+                # abort; a suspended one notices when it is resumed
+                for holder, holder_ctx in self._holders(ctx, masks, True, hidden=True):
+                    if holder is None:
+                        holder_ctx.doomed_depth = 0
+                    else:
+                        self._doom(holder, 0)
                 frame.vm["publishing"] = True
                 self._publish_visible(core, frame)
             elif not self.scheme.validate(core.idx, frame):
@@ -961,10 +970,11 @@ class Simulator:
     def _access(self, core: _Core, op: Read | Write) -> None:
         line = op.addr >> LINE_SHIFT
         is_write = type(op) is Write
-        frames = core.ctx.frames
-        # _frame_visible(frames[-1]) inlined (per-access hot path);
-        # lazy frames are invisible until publication, snapshot frames
-        # are wait-free — neither joins the conflict scan
+        ctx = core.ctx
+        frames = ctx.frames
+        # the visibility rule of _holds, inlined (per-access hot path):
+        # a lazy frame that is not publishing yet and a snapshot frame
+        # (wait-free) neither scan nor arm their signatures
         if (frames and frames[-1].mode != "eager"
                 and not frames[-1].vm.get("publishing")):
             self._perform_access(core, op, line, is_write, 0)
@@ -976,13 +986,13 @@ class Simulator:
                 or (is_write and self._vis_r & mask == mask))
                 and (not self._vis_dirty
                      or self._summary_covers(mask, is_write))):
-            conflict = self._find_conflict(core, mask, is_write)
-            if conflict is not None:
+            hit = next(self._holders(ctx, (mask,), is_write), None)
+            if hit is not None:
                 # the probe a parked poll of this access would watch
                 core.poll_mask = mask
                 core.poll_write = is_write
-                kind = conflict[0]
-                if kind == "suspended":
+                holder, holder_ctx = hit
+                if holder is None:
                     # the holder is a suspended transaction (its summary
                     # signature matched).  Age-based resolution prevents
                     # livelock between mutually-waiting suspended
@@ -990,25 +1000,21 @@ class Simulator:
                     # dooms the younger suspended holder, which aborts
                     # when rescheduled; otherwise the requester yields
                     # its core so the suspended thread can finish.
-                    holder_ctx: _ThreadCtx = conflict[1]
-                    if core.in_tx and holder_ctx.frames:
-                        mine = (core.frames[0].timestamp, core.ctx.tid)
+                    if frames:
+                        mine = (frames[0].timestamp, ctx.tid)
                         theirs = (holder_ctx.frames[0].timestamp,
                                   holder_ctx.tid)
                         if mine < theirs:
                             holder_ctx.doomed_depth = 0
-                    core.pending_op = op
-                    if self._multiplex:
-                        self._park(core, "stall")
-                    else:  # pragma: no cover — cannot happen off-multiplex
-                        self._resume_retry(core, self.config.htm.stall_retry_period)
+                    ctx.pending_op = op
+                    self._park(core, "stall")
                     return
                 if frames:
-                    self._resolution.resolve(self, core, conflict[1], op)
+                    self._resolution.resolve(self, core, holder, op)
                 else:
                     # strong isolation: the non-transactional access waits
                     # out the conflicting transaction (it cannot deadlock)
-                    self._stall_on(core, conflict[1], op)
+                    self._stall_on(core, holder, op)
                 return
         self._perform_access(core, op, line, is_write, mask)
 
@@ -1166,8 +1172,10 @@ class Simulator:
         """Frames left ``ctx``: recompute its visible words, and let the
         next probe the stale summary fails to reject rebuild it."""
         w = r = 0
-        for frame in ctx.frames:
-            if frame.mode != "lazy" or frame.vm.get("publishing"):
+        frames = ctx.frames
+        # visibility is per transaction (see _holds)
+        if frames and (frames[0].mode == "eager" or "publishing" in frames[0].vm):
+            for frame in frames:
                 w |= frame.write_sig._word
                 r |= frame.read_sig._word
         ctx.vis_w = w
@@ -1185,66 +1193,68 @@ class Simulator:
         self._vis_dirty = False
         return w & mask == mask or (is_write and r & mask == mask)
 
-    def _frame_visible(self, frame: TxFrame) -> bool:
-        # lazy transactions are invisible while executing, but once they
-        # start publishing they hold coherence permissions: accesses that
-        # conflict with a publishing committer must stall
-        return frame.mode != "lazy" or bool(frame.vm.get("publishing"))
-
-    def _frames_conflict_mask(
-        self, frames: list[TxFrame], mask: int, is_write: bool
-    ) -> TxFrame | None:
-        for frame in frames:
-            if not self._frame_visible(frame):
-                continue
-            if is_write:
-                if frame.may_read_conflict_mask(mask):
-                    return frame
-            elif frame.may_write_conflict_mask(mask):
-                return frame
-        return None
-
-    def _find_conflict(
-        self, core: _Core, mask: int, is_write: bool
-    ) -> tuple[str, Any] | None:
-        """The first conflicting holder of the line whose H3 mask is
-        ``mask``: ("core", idx) or ("suspended", ctx)."""
-        # one H3 mask for the probed line serves every signature test in
-        # the scan; the per-frame visibility and Bloom tests are inlined
-        # because this loop runs for every access of every core (DESIGN
-        # §11).  Each signature is tested on its own word — OR-ing the
-        # read/write filters first would manufacture false positives —
-        # so a thread's OR-ed summary words only pick the candidates.
-        my_ctx = core.ctx
-        for other in self.cores:
-            octx = other.ctx
-            if octx is None or octx is my_ctx or not (
-                octx.vis_w & mask == mask
-                or (is_write and octx.vis_r & mask == mask)
-            ):
-                continue
-            for frame in octx.frames:
-                if frame.mode == "lazy" and not frame.vm.get("publishing"):
-                    continue  # invisible until it starts publishing
-                w = frame.write_sig._word
-                if (w & mask == mask) or (
-                    is_write and frame.read_sig._word & mask == mask
-                ):
-                    return ("core", other.idx)
+    def _holders(
+        self, my_ctx: _ThreadCtx, masks: Sequence[int], is_write: bool,
+        hidden: bool = False,
+    ) -> Iterator[tuple[int | None, _ThreadCtx]]:
+        """Yield each other thread that holds a conflict with a probe
+        (one H3 mask per line, and the access kind): mounted cores by
+        index as ``(core index, ctx)``, then, under multiplexing,
+        suspended threads in ``_ctxs`` order as ``(None, ctx)``.
+        ``hidden`` picks the kind of holder :meth:`_holds` accepts:
+        visible ones, which accesses and lazy commits wait for, or hidden
+        ones, which a lazy committer dooms."""
+        # A visible thread's OR-ed words (DESIGN §11) cover a mask only
+        # if one of its frames' words may, so they reject a one-line
+        # probe (an access) cheaply; a hidden thread's words are empty,
+        # and a lazy commit's many-line probe (rare) tests frames only.
+        probe = masks[0] if len(masks) == 1 and not hidden else 0
+        for core in self.cores:
+            ctx = core.ctx
+            if (ctx is not None and ctx is not my_ctx
+                    and (ctx.vis_w & probe == probe
+                         or (is_write and ctx.vis_r & probe == probe))
+                    and self._holds(ctx, masks, is_write, hidden)):
+                yield core.idx, ctx
         if self._multiplex:
             # suspended transactions' signatures stay armed (the summary
             # signature of Section IV-C)
+            cores = self.cores
             for ctx in self._ctxs:
-                if ctx is my_ctx or not (
-                    ctx.vis_w & mask == mask
-                    or (is_write and ctx.vis_r & mask == mask)
-                ):
-                    continue
-                if any(c.ctx is ctx for c in self.cores):
-                    continue  # mounted: handled above
-                if self._frames_conflict_mask(ctx.frames, mask, is_write) is not None:
-                    return ("suspended", ctx)
-        return None
+                if (ctx is not my_ctx
+                        and (ctx.vis_w & probe == probe
+                             or (is_write and ctx.vis_r & probe == probe))
+                        and cores[ctx.last_core].ctx is not ctx  # not mounted
+                        and self._holds(ctx, masks, is_write, hidden)):
+                    yield None, ctx
+
+    @staticmethod
+    def _holds(
+        ctx: _ThreadCtx, masks: Sequence[int], is_write: bool, hidden: bool
+    ) -> bool:
+        """The eager/lazy coexistence rule (DESIGN §12) for one holder.
+
+        Mode is per transaction and only a lone outermost frame
+        publishes, so visibility is decided per thread: an eager
+        transaction, or a lazy one that is publishing, is visible; a
+        lazy one that has not published yet is hidden; a snapshot one
+        never arms its signatures.  A holder of the asked-for kind
+        conflicts when a frame's signature covers a probed mask: a
+        write conflicts with the read or write signature, a read with
+        the write signature only."""
+        frames = ctx.frames
+        if not frames:
+            return False
+        if (frames[0].mode == "eager" or "publishing" in frames[0].vm) is hidden:
+            return False
+        # each signature is tested on its own word: OR-ing the read and
+        # write filters first would manufacture false positives
+        for frame in frames:
+            w, r = frame.write_sig._word, frame.read_sig._word
+            for m in masks:
+                if w & m == m or (is_write and r & m == m):
+                    return True
+        return False
 
     def _wait_cycle(self, requester: int, holder: int) -> list[int] | None:
         """Cores on the wait-path if requester→holder closes a cycle."""
@@ -1420,9 +1430,9 @@ class Simulator:
         holder = core.waiting_on
         if (self._poll_in_place and ctx.doomed_depth is None
                 and type(op) in (Read, Write)
-                and self._find_conflict(
-                    core, core.poll_mask, core.poll_write
-                ) == ("core", holder)
+                and next(self._holders(
+                    ctx, (core.poll_mask,), core.poll_write
+                ), (None, None))[0] == holder
                 and not (ctx.frames and self._wait_cycle(core.idx, holder))):
             event = self.queue.schedule(self._stall_period, core.stall_poll_cb)
             core.retry_event = event
@@ -1471,67 +1481,6 @@ class Simulator:
         else:
             core.status = RUNNING
             self._access(core, op)
-
-    # -- lazy-commit interplay ---------------------------------------------
-    def _write_set_masks(self, frame: TxFrame) -> list[int]:
-        """One H3 mask per write-set line, computed once per scan."""
-        mask = self._mask_of
-        return [mask(line) for line in frame.write_lines]
-
-    def _lazy_commit_blocker(self, core: _Core, frame: TxFrame) -> int | None:
-        """An eager transaction the lazy committer must wait for, if any."""
-        masks = self._write_set_masks(frame)
-        for other in self.cores:
-            if other.idx == core.idx or other.ctx is None or not other.frames:
-                continue
-            for oframe in other.frames:
-                if not self._frame_visible(oframe):
-                    continue
-                for m in masks:
-                    if oframe.may_read_conflict_mask(m):
-                        return other.idx
-        return None
-
-    def _suspended_blocker(self, core: _Core, frame: TxFrame) -> bool:
-        """Does a suspended *visible* (eager) transaction overlap our
-        write set?  The lazy committer must let it finish first."""
-        masks = self._write_set_masks(frame)
-        mounted = {c.ctx for c in self.cores}
-        for ctx in self._ctxs:
-            if ctx.done or not ctx.frames or ctx in mounted or ctx is core.ctx:
-                continue
-            for oframe in ctx.frames:
-                if not self._frame_visible(oframe):
-                    continue
-                if any(oframe.may_read_conflict_mask(m) for m in masks):
-                    return True
-        return False
-
-    def _doom_lazy_losers(self, core: _Core, frame: TxFrame) -> None:
-        """Committer wins: abort lazy transactions overlapping our writes."""
-        masks = self._write_set_masks(frame)
-        for other in self.cores:
-            if other.idx == core.idx or other.ctx is None or not other.frames:
-                continue
-            if self._frame_visible(other.frames[0]):
-                continue
-            for oframe in other.frames:
-                if any(oframe.may_read_conflict_mask(m) for m in masks):
-                    self._doom(other.idx, 0)
-                    break
-        if self._multiplex:
-            # suspended lazy transactions lose too: they notice on resume
-            mounted = {c.ctx for c in self.cores}
-            for ctx in self._ctxs:
-                if ctx.done or not ctx.frames or ctx in mounted:
-                    continue
-                if self._frame_visible(ctx.frames[0]):
-                    continue
-                if any(
-                    f.may_read_conflict_mask(m)
-                    for f in ctx.frames for m in masks
-                ):
-                    ctx.doomed_depth = 0
 
     # ------------------------------------------------------------------
     # barriers

@@ -15,7 +15,9 @@ suspended-context conflict scans and un-parks on park/mount.  The
 ``kmeans`` and ``vacation`` 16-core pins were captured before the event
 kernel became a single heap (DESIGN §11): kmeans's barrier releases
 schedule 16 zero-delay events in one cycle, whose delivery order the
-heap must keep.
+heap must keep.  The short-slice pins (``slice_pins``) were captured
+before the simulator's conflict scans became one function: they are
+the only pins that reach its suspended-holder branches.
 
 The isolation pins in ``tests/data/golden_isolation.json`` hold the
 raw numbers the digests hash away: simulated cycles, commits, aborts
@@ -101,6 +103,40 @@ def test_every_golden_pin_is_exercised():
         for scheme in available_schemes()
     }
     assert exercised == set(GOLDEN["pins"])
+
+
+#: (workload, scheme, scale, seed, cores, threads, time slice) pins of
+#: the conflict-scan branches no PINS entry reaches: with 16 threads on
+#: 4 cores, a 300-cycle time slice and no slice grace for transactions,
+#: threads are suspended mid-transaction all the time, so an access
+#: finds a suspended holder, a lazy commit parks behind a suspended
+#: eager holder, and a lazy commit dooms a suspended lazy one (each
+#: 60-150 times per run).  They stay out of PINS, which is crossed with
+#: every scheme: suv and logtm-se exhaust a 2M-event budget at this
+#: shape.
+SLICE_PINS = [
+    ("genome", "dyntm", "tiny", 3, 4, 16, 300),
+    ("genome", "dyntm+suv", "tiny", 3, 4, 16, 300),
+]
+
+
+@pytest.mark.parametrize(
+    "workload,scheme,scale,seed,cores,threads,time_slice", SLICE_PINS,
+    ids=[f"{p[0]}-{p[1]}-slice{p[6]}" for p in SLICE_PINS],
+)
+def test_short_slice_multiplexed_results_are_bit_identical(
+    workload, scheme, scale, seed, cores, threads, time_slice
+):
+    key = _key(workload, scheme, scale, seed, cores, threads)
+    key = f"{key}/slice{time_slice}/grace1"
+    spec = ExperimentSpec(
+        workload=workload, scheme=scheme, scale=scale, seed=seed,
+        cores=cores, threads=threads,
+        config_overrides={
+            "htm.time_slice": time_slice, "htm.tx_slice_grace": 1,
+        },
+    )
+    assert _digest(spec) == GOLDEN["slice_pins"][key]
 
 
 @pytest.mark.parametrize(

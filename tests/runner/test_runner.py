@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import OracleViolation
-from repro.runner import ExperimentSpec, ResultCache, Runner
+from repro.runner import CampaignReport, ExperimentSpec, ResultCache, Runner
 from repro.runner.executor import execute_spec
 
 TINY = ExperimentSpec("ssca2", scheme="suv", scale="tiny", cores=4)
@@ -93,7 +93,8 @@ def test_serial_failure_reported():
     bad = TINY.with_(workload="ssca2", config_overrides={"nosuch.field": 1})
     outcome = Runner(max_workers=1, retries=0).run_one(bad)
     assert not outcome.ok
-    assert "ValueError" in outcome.error
+    assert outcome.error_type == "ConfigError"
+    assert "nosuch" in outcome.error
 
 
 # -- caching --------------------------------------------------------------
@@ -210,7 +211,30 @@ def test_simulation_error_is_terminal_on_the_first_attempt(workers):
         assert not outcome.ok
         assert outcome.attempts == 1
         assert outcome.error_type == "BudgetExhausted"
-        assert outcome.error.startswith("BudgetExhausted: ")
+
+
+@PATHS
+def test_malformed_spec_is_terminal_on_the_first_attempt(workers):
+    # an unknown section, an unknown field and a value the config
+    # rejects fail identically on every attempt: never retried
+    overrides = [
+        {"nosuch.field": 1}, {"htm.nosuch": 1}, {"htm.resolution": "bogus"},
+    ]
+    specs = [TINY.with_(config_overrides=o) for o in overrides]
+    with Runner(max_workers=workers, retries=2) as runner:
+        outcomes = runner.run(specs)
+    for outcome in outcomes:
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error_type == "ConfigError"
+
+
+def test_report_names_a_failure_type_once():
+    spec = TINY.with_(max_events=100)
+    outcome = Runner(max_workers=1, retries=0).run_one(spec)
+    text = CampaignReport.collect([outcome]).format()
+    assert text.count("BudgetExhausted") == 1
+    assert "[BudgetExhausted, attempts=1]: event budget" in text
 
 
 @PATHS

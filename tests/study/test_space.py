@@ -10,6 +10,7 @@ from repro.htm.policy import (
     legal_combinations,
 )
 from repro.study import StudySpace, run_study
+from repro.study.report import format_markdown
 
 
 def test_default_space_is_the_full_legal_space():
@@ -89,5 +90,6 @@ def test_study_reports_an_oracle_violation_as_a_failure_not_a_rank():
     doc = run_study(space, jobs=1)
     (failure,) = doc["failures"]
     assert failure["label"].startswith("synthetic/flash+adaptive+stall ")
-    assert "OracleViolation" in failure["error"]
+    assert failure["error_type"] == "OracleViolation"
+    assert format_markdown(doc).count("OracleViolation") == 1
     assert doc["per_workload"]["synthetic"]["ranking"] == []
