@@ -79,8 +79,12 @@ def test_ablation_conflict_policy(benchmark, sim_cache):
     results = {}
 
     def run_all():
-        for policy in ("stall", "abort_requester"):
-            results[policy] = sim_cache.run(APP, S, resolution=policy)
+        # SUV at stall is the named scheme; any other resolution is
+        # spelled as its composed name
+        for policy, scheme in (
+            ("stall", S), ("abort_requester", "redirect+eager+abort_requester"),
+        ):
+            results[policy] = sim_cache.run(APP, scheme)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -53,7 +53,6 @@ def bench_spec(
     scale: str | None = None,
     seed: int | None = None,
     overrides: Mapping | None = None,
-    resolution: str = "stall",
     verify: bool = True,
 ) -> ExperimentSpec:
     """The harness's spec for one run (Table III machine, bench knobs)."""
@@ -63,7 +62,6 @@ def bench_spec(
         scale=scale or SCALE,
         seed=SEED if seed is None else seed,
         cores=BENCH_CORES,
-        resolution=resolution,
         stagger=BENCH_STAGGER,
         verify=verify,
         max_events=BENCH_MAX_EVENTS,

@@ -17,7 +17,6 @@ Committing components and the Stalled time they induce in neighbours.
 """
 
 from repro import SimConfig, Simulator
-from repro.config import HTMConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.stats.report import format_table
 
@@ -46,19 +45,20 @@ def neighbour(delay):
     return thread
 
 
-def run(scheme: str, resolution: str = "stall"):
-    config = SimConfig(n_cores=4, htm=HTMConfig(resolution=resolution))
-    sim = Simulator(config, scheme=scheme, seed=1)
+def run(scheme: str):
+    sim = Simulator(SimConfig(n_cores=4), scheme=scheme, seed=1)
     res = sim.run([big_writer, neighbour(150), neighbour(300)])
     return res
 
 
 def main() -> None:
     rows = []
-    for scheme in ("logtm-se", "fastm", "suv", "lazy"):
-        # abort_requester forces TX1-style rollbacks so the repair cost
-        # is visible even in this tiny scenario
-        res = run(scheme, resolution="abort_requester")
+    # each named scheme's (vm, cd) point under abort_requester, which
+    # forces TX1-style rollbacks so the repair cost is visible even in
+    # this tiny scenario
+    for scheme, vm in (("logtm-se", "undo"), ("fastm", "flash"),
+                       ("suv", "redirect"), ("lazy", "buffer")):
+        res = run(f"{vm}+eager+abort_requester")
         bd = res.breakdown.cycles
         rows.append((
             scheme, res.total_cycles, res.aborts,

@@ -43,10 +43,8 @@ import os
 import sys
 import time
 
-from repro.config import SimConfig
 from repro.errors import IncompatiblePolicyError, UnknownSchemeError
 from repro.faults import list_presets
-from repro.htm.policy import RESOLUTION_AXIS
 from repro.htm.vm.base import available_schemes, resolve_scheme_name
 from repro.runner import (
     ArtifactStore,
@@ -80,19 +78,8 @@ def _scheme_name(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _scheme_from_args(args: argparse.Namespace, scheme: str):
-    """The scheme the namespace describes: per-axis flags override."""
-    if getattr(args, "vm", None) or getattr(args, "cd", None):
-        return {
-            "vm": args.vm or "redirect",
-            "cd": args.cd or "eager",
-            "resolution": args.resolution,
-        }
-    return scheme
-
-
 def _spec_from_args(
-    args: argparse.Namespace, scheme, **config_overrides
+    args: argparse.Namespace, scheme: str, **config_overrides
 ) -> ExperimentSpec:
     """The experiment an ``argparse`` namespace describes."""
     versions_k = getattr(args, "versions_k", 0)
@@ -105,26 +92,12 @@ def _spec_from_args(
         seed=args.seed,
         cores=args.cores,
         threads=args.threads,
-        resolution=args.resolution,
         stagger=args.stagger,
         verify=not args.no_verify,
         config_overrides=config_overrides,
         fault_plan=getattr(args, "fault_plan", "") or "",
         check=getattr(args, "check", False),
     )
-
-
-def _build_config(args: argparse.Namespace, **redirect_overrides) -> SimConfig:
-    """Thin adapter kept for back-compat: the SimConfig of ``args``."""
-    overrides = {f"redirect.{k}": v for k, v in redirect_overrides.items()}
-    return _spec_from_args(args, "suv", **overrides).build_config()
-
-
-def _run_one(
-    args: argparse.Namespace, scheme: str, **config_overrides
-) -> SimResult:
-    """Thin adapter over :func:`run_experiment` for one CLI run."""
-    return run_experiment(_spec_from_args(args, scheme, **config_overrides))
 
 
 def _run_specs(args: argparse.Namespace, specs: list[ExperimentSpec]) -> list[SimResult]:
@@ -142,7 +115,7 @@ def _run_specs(args: argparse.Namespace, specs: list[ExperimentSpec]) -> list[Si
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, _scheme_from_args(args, args.scheme))
+    spec = _spec_from_args(args, args.scheme)
     scheme_label = spec.scheme
     if args.trace:
         from repro.runner import execute_spec
@@ -251,13 +224,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     matrix = RunMatrix(
         workloads=tuple(args.workloads),
         schemes=tuple(args.schemes),
-        vms=tuple(args.vms),
-        cds=tuple(args.cds),
         scales=(args.scale,),
         seeds=tuple(args.seeds),
         cores=(args.cores,),
         threads=(args.threads,),
-        resolutions=(args.resolution,),
         staggers=(args.stagger,),
         fault_plans=tuple(getattr(args, "fault_plans", None) or ("",)),
         verify=not args.no_verify,
@@ -423,7 +393,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         cores=(args.cores,),
         threads=(args.threads,),
-        resolutions=(args.resolution,),
         staggers=(args.stagger,),
         fault_plans=plans,
         verify=not args.no_verify,
@@ -541,7 +510,7 @@ def scheme_table_markdown() -> str:
     for row in doc["canonical"]:
         lines.append(
             f"| `{row['name']}` | {row['vm']} | {row['cd']} "
-            "| config (`stall`) |"
+            "| `stall` |"
         )
     counts = doc["counts"]
     lines.append("")
@@ -572,7 +541,7 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     print(format_table(
         ["scheme", "vm", "cd"],
         [[row["name"], row["vm"], row["cd"]] for row in doc["canonical"]],
-        title="canonical schemes (resolution from HTMConfig)",
+        title="canonical schemes (each at resolution stall)",
     ))
     print()
     for axis, values in doc["axes"].items():
@@ -582,12 +551,6 @@ def cmd_schemes(args: argparse.Namespace) -> int:
           f"{counts['total']} vm+cd+resolution combinations "
           "(`repro schemes --list`)")
     return 0
-
-
-#: resolution choices come from the policy registry, never a hardcoded
-#: list — new contention managers appear in every ``--resolution`` flag
-#: (and in ``repro schemes``) the moment they are registered
-_RESOLUTIONS = RESOLUTION_AXIS
 
 
 def _split_commas(values: list[str]) -> tuple[str, ...]:
@@ -681,9 +644,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--scale", choices=("tiny", "small", "full"),
                    default="small")
-    p.add_argument("--resolution", choices=_RESOLUTIONS,
-                   default="stall",
-                   help="conflict-resolution axis")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the workload's functional verifier")
@@ -714,13 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme", type=_scheme_name, nargs="?", default="suv",
                    help="a named scheme or a composed "
                         "vm+cd+resolution name")
-    p.add_argument("--vm",
-                   choices=("undo", "flash", "redirect", "buffer", "mvsuv"),
-                   help="version-management axis; with --cd/--resolution "
-                        "this composes a scheme and overrides the "
-                        "positional name")
-    p.add_argument("--cd", choices=("eager", "lazy", "adaptive"),
-                   help="conflict-detection axis (see --vm)")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--trace", metavar="PATH",
                    help="record the event trace to PATH (bypasses the "
@@ -759,21 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=_WORKLOAD_CHOICES)
     p.add_argument("--schemes", nargs="+", default=["logtm-se", "fastm", "suv"],
                    type=_scheme_name)
-    p.add_argument("--vms", nargs="+", default=[],
-                   choices=("undo", "flash", "redirect", "buffer", "mvsuv"),
-                   help="version-management axis sweep; with --cds/"
-                        "--resolution replaces --schemes by the legal "
-                        "composed cross product")
-    p.add_argument("--cds", nargs="+", default=[],
-                   choices=("eager", "lazy", "adaptive"),
-                   help="conflict-detection axis sweep (see --vms)")
     p.add_argument("--seeds", type=int, nargs="+", default=[3])
     p.add_argument("--scale", choices=("tiny", "small", "full"),
                    default="tiny")
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", choices=_RESOLUTIONS,
-                   default="stall")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--fault-plans", nargs="+", default=[],
@@ -861,8 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.add_argument("--cores", type=int, default=4)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", choices=_RESOLUTIONS,
-                   default="stall")
     p.add_argument("--stagger", type=int, default=512)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--jobs", type=int, default=0,

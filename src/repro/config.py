@@ -125,16 +125,6 @@ class RedirectConfig:
 class HTMConfig:
     """Transactional-memory policy parameters shared by all schemes."""
 
-    #: conflict-resolution axis: ``stall`` (requester stalls; deadlock
-    #: cycles are broken by aborting the youngest transaction),
-    #: ``abort_requester`` (requester immediately aborts — partially,
-    #: at the innermost nesting level), ``abort_responder`` (the
-    #: paper's alternative: the holder aborts so the requester runs),
-    #: ``timestamp`` (the older transaction wins the conflict), or one
-    #: of the contention managers ``polite``/``greedy``/``karma`` (see
-    #: :mod:`repro.htm.policy` for their semantics).  The legal value
-    #: set is :data:`repro.htm.policy.RESOLUTION_AXIS`.
-    resolution: str = "stall"
     #: cycles to take / restore a register checkpoint at begin / abort.
     checkpoint_cycles: int = 4
     #: cycles to enter the software abort handler (LogTM-SE-style trap).
@@ -162,14 +152,6 @@ class HTMConfig:
     #: its signatures armed and stalls every conflicting neighbour, so
     #: the scheduler avoids it except for runaway transactions.
     tx_slice_grace: int = 10
-
-    def __post_init__(self) -> None:
-        # deferred import: repro.htm.policy (via the repro.htm package)
-        # imports this module at load time
-        from repro.htm.policy import RESOLUTION_AXIS
-
-        if self.resolution not in RESOLUTION_AXIS:
-            raise ValueError(f"unknown conflict resolution {self.resolution!r}")
 
 
 @dataclass(frozen=True)

@@ -79,24 +79,21 @@ class NamedScheme(NamedTuple):
     cd: str
     #: the name the scheme's results report (``SimResult.scheme``)
     reports: str
-    #: other spellings that resolve to this scheme
-    aliases: tuple[str, ...] = ()
 
 
 #: the seven named schemes, in listing order (baseline first, the
-#: paper's contribution third, as in the figures): each is a (vm, cd)
-#: point of the space whose resolution axis comes from ``HTMConfig``
-#: (default stall).  ``dyntm`` reports ``dyntm+fastm``, the name its
-#: results always carried (the golden digests hash it).
+#: paper's contribution third, as in the figures): each is the fixed
+#: point (vm, cd, ``stall``) of the space; any other resolution is
+#: spelled as a composed name (``suv`` under ``timestamp`` is
+#: ``redirect+eager+timestamp``).  ``dyntm`` reports ``dyntm+fastm``,
+#: the name its results always carried (the golden digests hash it).
 NAMED_SCHEMES: Mapping[str, NamedScheme] = {
-    "logtm-se": NamedScheme("undo", "eager", "logtm-se", ("logtmse", "logtm")),
+    "logtm-se": NamedScheme("undo", "eager", "logtm-se"),
     "fastm": NamedScheme("flash", "eager", "fastm"),
     "suv": NamedScheme("redirect", "eager", "suv"),
     "lazy": NamedScheme("buffer", "eager", "lazy"),
     "dyntm": NamedScheme("flash", "adaptive", "dyntm+fastm"),
-    "dyntm+suv": NamedScheme(
-        "redirect", "adaptive", "dyntm+suv", ("dyntm-suv",)
-    ),
+    "dyntm+suv": NamedScheme("redirect", "adaptive", "dyntm+suv"),
     "mvsuv": NamedScheme("mvsuv", "eager", "mvsuv"),
 }
 
@@ -188,55 +185,6 @@ class SchemeComposition:
         if len(parts) != 3 or not all(parts):
             return None
         return cls(vm=parts[0], cd=parts[1], resolution=parts[2])
-
-    @classmethod
-    def from_value(
-        cls, value: "str | Mapping[str, str] | SchemeComposition"
-    ) -> "SchemeComposition":
-        """Coerce a name, axes mapping, or composition to a checked value."""
-        if isinstance(value, SchemeComposition):
-            return value.check()
-        if isinstance(value, Mapping):
-            known = {"vm", "cd", "resolution"}
-            unknown = set(value) - known
-            if unknown:
-                raise IncompatiblePolicyError(
-                    "unknown policy axis",
-                    axes={k: str(value[k]) for k in sorted(unknown)},
-                    reason=f"axes are {', '.join(sorted(known))}",
-                )
-            return cls(
-                **{k: _normalize_axis(str(v)) for k, v in value.items()}
-            ).check()
-        comp = cls.parse(value)
-        if comp is None:
-            raise UnknownSchemeError(
-                f"{value!r} is not a composed scheme name "
-                "(expected vm+cd+resolution)",
-                name=value,
-            )
-        return comp.check()
-
-
-def compose_scheme(
-    vm: str = "redirect",
-    cd: str = "eager",
-    resolution: str = "stall",
-) -> str:
-    """The canonical composed scheme name for the given axes.
-
-    Validates legality (raising :class:`IncompatiblePolicyError` with
-    the physical reason) and normalizes spelling, so the returned name
-    is stable enough to use as a cache key or spec field::
-
-        >>> compose_scheme(vm="redirect", cd="lazy")
-        'redirect+lazy+stall'
-    """
-    return SchemeComposition(
-        vm=_normalize_axis(vm),
-        cd=_normalize_axis(cd),
-        resolution=_normalize_axis(resolution),
-    ).check().name
 
 
 def iter_scheme_space() -> Iterator[SchemeComposition]:

@@ -18,7 +18,7 @@
 
 Every scheme name — a named scheme (``"suv"``, see
 :data:`~repro.htm.policy.NAMED_SCHEMES`) or a composed three-axis name
-(``"redirect+lazy+stall"``, see :func:`compose_scheme`) —
+(``"redirect+lazy+stall"``, see :func:`legal_combinations`) —
 resolves to one checked composition (:func:`resolve_scheme`), which
 :func:`build_version_manager` turns into a VM;
 :func:`make_version_manager` does both.
@@ -29,7 +29,6 @@ from repro.htm.policy import (
     CommitArbitration,
     ConflictResolution,
     SchemeComposition,
-    compose_scheme,
     legal_combinations,
 )
 from repro.htm.vm.base import (
@@ -63,7 +62,6 @@ __all__ = [
     "VersionManager",
     "available_schemes",
     "build_version_manager",
-    "compose_scheme",
     "legal_combinations",
     "make_version_manager",
     "resolve_scheme",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.config import HTMConfig, SimConfig
+from repro.config import SimConfig
 from repro.errors import UnknownSchemeError
 from repro.htm.policy import (
     NAMED_SCHEMES,
@@ -221,14 +221,6 @@ class VersionManager(ABC):
 # scheme names
 # ======================================================================
 
-#: every spelling of a named scheme (normalized) -> its name
-_SPELLINGS: dict[str, str] = {
-    spelling: name
-    for name, row in NAMED_SCHEMES.items()
-    for spelling in (name, *row.aliases)
-}
-
-
 def _normalize_scheme_name(name: str) -> str:
     return name.lower().replace("_", "-")
 
@@ -245,7 +237,7 @@ def available_schemes() -> tuple[str, ...]:
 
 
 def resolve_scheme_name(name: str) -> str:
-    """Canonicalize a scheme name: a named scheme's spelling or a composed name.
+    """Canonicalize a scheme name: a named scheme or a composed name.
 
     Named schemes win (so ``dyntm+suv`` stays the named DynTM variant,
     not a composition); otherwise a three-token
@@ -255,40 +247,35 @@ def resolve_scheme_name(name: str) -> str:
     :class:`~repro.errors.IncompatiblePolicyError` for a well-formed
     but physically impossible composition.
     """
-    named = _SPELLINGS.get(_normalize_scheme_name(name))
-    if named is not None:
-        return named
+    normalized = _normalize_scheme_name(name)
+    if normalized in NAMED_SCHEMES:
+        return normalized
     composition = SchemeComposition.parse(name)
     if composition is not None:
         return composition.check().name
     import difflib
 
-    # near misses among the named spellings and the legal composed names
-    candidates = dict(_SPELLINGS)
-    candidates.update((c.name, c.name) for c in legal_combinations())
-    suggestions = difflib.get_close_matches(
-        _normalize_scheme_name(name), sorted(candidates), n=3, cutoff=0.6
-    )
+    # near misses among the named and the legal composed names
+    candidates = [*NAMED_SCHEMES, *(c.name for c in legal_combinations())]
     raise UnknownSchemeError(
         f"unknown version-management scheme {name!r}; "
         f"named schemes: {', '.join(available_schemes())} "
         "(or a composed vm+cd+resolution name)",
         name=name,
-        suggestions=[candidates[s] for s in suggestions],
+        suggestions=difflib.get_close_matches(
+            normalized, candidates, n=3, cutoff=0.6
+        ),
     )
 
 
-def resolve_scheme(name: str, htm: HTMConfig) -> tuple[str, SchemeComposition]:
+def resolve_scheme(name: str) -> tuple[str, SchemeComposition]:
     """(the name results report, the checked composition) of a scheme name.
 
-    A composed name pins all three axes.  A named scheme pins vm and cd
-    and takes its resolution from ``htm``; the result passes the same
-    legality check as its composed spelling.
+    The name alone sets all three axes: a named scheme is its fixed
+    (vm, cd, ``stall``) point, a composed name the point it spells.
     """
     canonical = resolve_scheme_name(name)
     row = NAMED_SCHEMES.get(canonical)
-    if row is None:
-        return canonical, SchemeComposition.from_value(canonical)
-    return row.reports, SchemeComposition(
-        row.vm, row.cd, htm.resolution
-    ).check()
+    if row is not None:
+        return row.reports, SchemeComposition(row.vm, row.cd)
+    return canonical, SchemeComposition(*canonical.split("+"))

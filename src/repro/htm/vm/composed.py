@@ -295,6 +295,6 @@ def build_version_manager(
 def make_version_manager(
     name: str, config: SimConfig, hierarchy: MemoryHierarchy
 ) -> VersionManager:
-    """Build a scheme by name (named or composed) under ``config.htm``."""
-    reported, composition = resolve_scheme(name, config.htm)
+    """Build a scheme by name (named or composed)."""
+    reported, composition = resolve_scheme(name)
     return build_version_manager(composition, config, hierarchy, reported)

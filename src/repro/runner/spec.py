@@ -28,11 +28,11 @@ from itertools import product
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.config import HTMConfig, SimConfig
-from repro.errors import ConfigError, IncompatiblePolicyError
-from repro.htm.policy import SchemeComposition
+from repro.errors import ConfigError
+from repro.htm.policy import NAMED_SCHEMES, SchemeComposition
 
 #: bump when the spec encoding changes, so stale cache entries never match
-SPEC_FORMAT_VERSION = 5
+SPEC_FORMAT_VERSION = 6
 
 _SCALES = ("tiny", "small", "full")
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -65,17 +65,14 @@ class ExperimentSpec:
     """
 
     workload: str
-    #: a named scheme (``"suv"``), a composed three-axis name
-    #: (``"redirect+lazy+stall"``), or an axes mapping
-    #: (``{"vm": "redirect", "cd": "lazy"}``); mappings and composed
-    #: names normalize to the canonical composed spelling
-    scheme: str | Mapping[str, str] = "suv"
+    #: a named scheme (``"suv"``, a fixed ``stall`` point) or a composed
+    #: three-axis name (``"redirect+eager+timestamp"``), which
+    #: normalizes to its canonical spelling; the name sets every axis
+    scheme: str = "suv"
     scale: str = "small"
     seed: int = 3
     cores: int = 16
     threads: int = 0  # 0 = one software thread per core
-    #: conflict-resolution axis; a composed scheme name fills it in
-    resolution: str = "stall"
     stagger: int = 512
     verify: bool = True
     max_events: int = 20_000_000
@@ -93,21 +90,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.scale not in _SCALES:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {_SCALES}")
-        if isinstance(self.scheme, Mapping):
-            comp = SchemeComposition.from_value(self.scheme)
-        else:
-            comp = SchemeComposition.parse(self.scheme)
+        comp = SchemeComposition.parse(self.scheme)
         if comp is not None:
-            # a composed name pins the resolution: one run, one spec (and hash)
-            comp.check()
-            default = self.__dataclass_fields__["resolution"].default
-            if self.resolution not in (default, comp.resolution):
-                raise ValueError(
-                    f"conflicting resolution={self.resolution!r} and scheme "
-                    f"{comp.name!r}, which pins resolution={comp.resolution!r}"
-                )
-            object.__setattr__(self, "resolution", comp.resolution)
-            object.__setattr__(self, "scheme", comp.name)
+            # one spelling per run: one spec (and hash)
+            object.__setattr__(self, "scheme", comp.check().name)
         object.__setattr__(
             self,
             "config_overrides",
@@ -143,10 +129,7 @@ class ExperimentSpec:
         try:
             config = SimConfig(
                 n_cores=self.cores,
-                htm=HTMConfig(
-                    resolution=self.resolution,
-                    start_stagger=self.stagger,
-                ),
+                htm=HTMConfig(start_stagger=self.stagger),
             )
             if top:
                 config = replace(config, **top)
@@ -172,6 +155,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
+        # a record written while specs had a ``resolution`` field loads
+        # when the field is redundant (``stall``, or the resolution its
+        # composed name spells) and is dropped, like a retired
+        # ``arbitration``; any other value is a run the name must spell
+        resolution = data.get("resolution", "stall")
+        scheme = str(data.get("scheme", "suv"))
+        if resolution not in ("stall", scheme.rsplit("+", 1)[-1]):
+            row = NAMED_SCHEMES.get(scheme)
+            axes = f"{row.vm}+{row.cd}" if row else "vm+cd"
+            raise ConfigError(
+                f"spec record runs {scheme!r} at resolution={resolution!r}; "
+                f"the scheme name sets the resolution: spell it "
+                f"{axes}+{resolution}"
+            )
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -199,30 +196,19 @@ class RunMatrix:
 
     Each sequence field is one axis; :meth:`specs` crosses them in
     workload-major order (workload, then scheme, then scale, seed,
-    cores, threads, resolution, stagger, overrides), the order the
-    paper's figures iterate in.  ``overrides`` is an axis of override
-    *sets*: each entry is one ``config_overrides`` mapping.
-
-    Two ways to pick schemes: ``schemes`` lists scheme names
-    directly, while the per-axis lists ``vms``/``cds`` (with
-    ``resolutions``) sweep the composed policy space — setting either
-    replaces the ``schemes`` axis with the *legal* subset of the
-    vm × cd × resolution cross product (illegal combinations are
-    skipped; see :mod:`repro.htm.policy`).
+    cores, threads, stagger, overrides), the order the paper's figures
+    iterate in.  ``overrides`` is an axis of override *sets*: each
+    entry is one ``config_overrides`` mapping.  A sweep over the
+    composed policy space lists its names in ``schemes`` (see
+    :class:`repro.study.StudySpace`).
     """
 
     workloads: Sequence[str]
     schemes: Sequence[str] = ("suv",)
-    #: version-management axis values; non-empty switches the matrix to
-    #: composed-scheme expansion (with ``cds``/``resolutions``)
-    vms: Sequence[str] = ()
-    #: conflict-detection axis values for composed-scheme expansion
-    cds: Sequence[str] = ()
     scales: Sequence[str] = ("small",)
     seeds: Sequence[int] = (3,)
     cores: Sequence[int] = (16,)
     threads: Sequence[int] = (0,)
-    resolutions: Sequence[str] = ("stall",)
     staggers: Sequence[int] = (512,)
     overrides: Sequence[Overrides] = ((),)
     #: fault-plan axis: each entry is a spec string ("" = fault-free)
@@ -231,33 +217,6 @@ class RunMatrix:
     verify: bool = True
     check: bool = False
     max_events: int = 20_000_000
-
-    def _scheme_axis(self) -> list[tuple[str, str]]:
-        """(scheme, resolution) pairs to cross over."""
-        if not (self.vms or self.cds):
-            return list(product(self.schemes, self.resolutions))
-        pairs: list[tuple[str, str]] = []
-        for vm, cd, resolution in product(
-            self.vms or ("redirect",), self.cds or ("eager",), self.resolutions,
-        ):
-            try:
-                comp = SchemeComposition.from_value(
-                    {"vm": vm, "cd": cd, "resolution": resolution}
-                )
-            except IncompatiblePolicyError:
-                continue  # physically impossible corner of the sweep
-            pairs.append((comp.name, comp.resolution))
-        if not pairs:
-            raise IncompatiblePolicyError(
-                "no legal scheme in matrix axes",
-                axes={
-                    "vm": ",".join(self.vms) or "redirect",
-                    "cd": ",".join(self.cds) or "eager",
-                    "resolution": ",".join(self.resolutions),
-                },
-                reason="every combination in the cross product is illegal",
-            )
-        return pairs
 
     def specs(self) -> list[ExperimentSpec]:
         """Expand the cross product into concrete specs."""
@@ -269,7 +228,6 @@ class RunMatrix:
                 seed=seed,
                 cores=n_cores,
                 threads=n_threads,
-                resolution=resolution,
                 stagger=stagger,
                 verify=self.verify,
                 max_events=self.max_events,
@@ -278,11 +236,11 @@ class RunMatrix:
                 fault_plan=plan,
                 check=self.check,
             )
-            for workload, (scheme, resolution), scale, seed,
-                n_cores, n_threads, stagger, over, plan in product(
-                    self.workloads, self._scheme_axis(), self.scales,
-                    self.seeds, self.cores, self.threads, self.staggers,
-                    self.overrides, self.fault_plans,
+            for workload, scheme, scale, seed, n_cores, n_threads, stagger,
+                over, plan in product(
+                    self.workloads, self.schemes, self.scales, self.seeds,
+                    self.cores, self.threads, self.staggers, self.overrides,
+                    self.fault_plans,
                 )
         ]
 

@@ -288,9 +288,8 @@ class Simulator:
         self.rng = RngStreams(seed)
         self.hierarchy = MemoryHierarchy(self.config)
         self.memory = self.hierarchy.memory
-        #: the scheme's checked composition pins all three policy axes (a
-        #: named scheme takes its resolution from HTMConfig)
-        name, composition = resolve_scheme(scheme, self.config.htm)
+        #: the scheme name alone pins all three policy axes
+        name, composition = resolve_scheme(scheme)
         self.scheme: VersionManager = build_version_manager(
             composition, self.config, self.hierarchy, name
         )

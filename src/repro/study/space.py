@@ -96,7 +96,8 @@ class StudySpace:
 
     def matrix(self) -> RunMatrix:
         """The :class:`RunMatrix` this study executes."""
-        if not self.combos():
+        combos = self.combos()
+        if not combos:
             raise IncompatiblePolicyError(
                 "empty study space",
                 axes={
@@ -108,9 +109,7 @@ class StudySpace:
             )
         return RunMatrix(
             workloads=self.workloads,
-            vms=self.vms,
-            cds=self.cds,
-            resolutions=self.resolutions,
+            schemes=[c.name for c in combos],
             scales=(self.scale,),
             seeds=self.seeds,
             cores=(self.cores,),

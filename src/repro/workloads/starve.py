@@ -3,8 +3,8 @@
 Thread 0 runs a single *declared read-only* transaction that scans every
 slot of a shared array (``site=1``); every other thread streams short
 read-modify-write transactions that increment randomly chosen slots
-(``site=2``).  Under plain SUV with ``resolution="abort_responder"`` the
-huge reader's read set conflicts with every writer commit, so it is
+(``site=2``).  Under plain SUV with the holder yielding
+(``redirect+eager+abort_responder``) the huge reader's read set conflicts with every writer commit, so it is
 doomed over and over and only commits once the writers drain — the
 classic reader-starvation pathology.  Under mvsuv the reader runs in
 snapshot mode over the version chains: it is invisible to conflict

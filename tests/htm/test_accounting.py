@@ -7,6 +7,7 @@ from repro.config import HTMConfig, SimConfig
 from repro.htm.ops import Barrier, Read, Tx, Work, Write
 from repro.simulator import Simulator
 from repro.workloads import make_workload
+from tests.htm.schemes import at_resolution
 
 
 def contended_threads(n=4, rounds=6):
@@ -52,9 +53,8 @@ def test_accounting_holds_on_real_workload():
 
 @pytest.mark.parametrize("scheme", ["logtm-se", "suv"])
 def test_wasted_plus_trans_reflect_attempts(scheme):
-    sim = Simulator(SimConfig(n_cores=4,
-                              htm=HTMConfig(resolution="abort_requester")),
-                    scheme=scheme, seed=11)
+    sim = Simulator(SimConfig(n_cores=4),
+                    scheme=at_resolution(scheme, "abort_requester"), seed=11)
     res = sim.run(contended_threads())
     bd = res.breakdown.cycles
     if res.aborts:

@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import IncompatiblePolicyError
 from repro.runner import ExperimentSpec, RunMatrix, execute_spec
+from repro.study import StudySpace
 
-#: canonical name ↔ its three-axis spelling (stall = the HTMConfig
-#: default every canonical scheme runs under)
+#: named scheme ↔ its three-axis spelling (every named scheme is a
+#: fixed stall point)
 EQUIVALENTS = [
     ("logtm-se", "undo+eager+stall"),
     ("fastm", "flash+eager+stall"),
@@ -77,30 +78,15 @@ def test_suv_lazy_hybrid_validates_and_publishes():
     }
 
 
-def test_spec_accepts_axes_mapping():
-    spec = ExperimentSpec(
-        "ssca2",
-        scheme={"vm": "redirect", "cd": "lazy"},
-        scale="tiny", cores=4,
-    )
-    assert spec.scheme == "redirect+lazy+stall"
-    named = ExperimentSpec(
-        "ssca2", scheme="redirect+lazy+stall", scale="tiny", cores=4
-    )
-    assert spec.spec_hash() == named.spec_hash()
-    with pytest.raises(IncompatiblePolicyError):
-        ExperimentSpec("ssca2", scheme={"vm": "undo", "cd": "lazy"})
-
-
 def test_matrix_sweeps_axes_and_skips_illegal_combos():
-    matrix = RunMatrix(
+    space = StudySpace(
         workloads=("ssca2",),
         vms=("undo", "redirect", "buffer"),
         cds=("eager", "lazy"),
-        scales=("tiny",),
-        cores=(4,),
+        resolutions=("stall",),
+        cores=4,
     )
-    schemes = [spec.scheme for spec in matrix.specs()]
+    schemes = [spec.scheme for spec in space.specs()]
     # undo+lazy and flash+lazy are physically impossible and skipped
     assert schemes == [
         "undo+eager+stall",
@@ -110,14 +96,19 @@ def test_matrix_sweeps_axes_and_skips_illegal_combos():
         "buffer+lazy+stall",
     ]
     with pytest.raises(IncompatiblePolicyError):
-        RunMatrix(workloads=("ssca2",), vms=("undo",), cds=("lazy",)).specs()
+        StudySpace(workloads=("ssca2",), vms=("undo",), cds=("lazy",)).specs()
 
 
-def test_canonical_scheme_honours_config_resolution_and_arbitration():
-    # the resolution axis reaches canonical schemes through HTMConfig,
-    # so specs can sweep it without composed names; lazy commits always
-    # take the serial token, so there is no arbitration to configure
-    res = _run("suv", resolution="timestamp")
+def test_named_scheme_is_a_fixed_stall_point():
+    # the name sets all three axes: a named scheme runs at stall, and
+    # another resolution is spelled as the composed name, which reports
+    # itself; lazy commits always take the serial token, so there is no
+    # arbitration to configure
+    assert _run("suv").policy_axes == {
+        "vm": "redirect", "cd": "eager", "resolution": "stall",
+    }
+    res = _run("redirect+eager+timestamp")
+    assert res.scheme == "redirect+eager+timestamp"
     assert res.policy_axes == {
         "vm": "redirect", "cd": "eager", "resolution": "timestamp",
     }
@@ -125,15 +116,17 @@ def test_canonical_scheme_honours_config_resolution_and_arbitration():
 
 def test_composed_name_fills_the_spec_axes():
     # one run, one spec: the direct spec and the matrix spec hash equal
-    direct = ExperimentSpec("ssca2", scheme="redirect+lazy+timestamp")
-    assert direct.resolution == "timestamp"
+    direct = ExperimentSpec("ssca2", scheme="Redirect+Lazy+Timestamp")
+    assert direct.scheme == "redirect+lazy+timestamp"
     (matrix,) = RunMatrix(
         workloads=("ssca2",), schemes=("redirect+lazy+timestamp",)
     ).specs()
     assert matrix.spec_hash() == direct.spec_hash()
-    # a spec must not claim an axis value its scheme does not run
-    with pytest.raises(ValueError, match="resolution"):
+    # the name is the only spelling of the axes
+    with pytest.raises(TypeError):
         ExperimentSpec(
             "ssca2", scheme="redirect+lazy+stall",
             resolution="timestamp",
         )
+    with pytest.raises(IncompatiblePolicyError):
+        ExperimentSpec("ssca2", scheme="undo+lazy+stall")

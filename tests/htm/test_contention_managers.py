@@ -35,7 +35,6 @@ NEW_MANAGERS = ("polite", "greedy", "karma")
 # writer's commit is a request against the reader's read set)
 DOOM = dict(
     workload="starve",
-    scheme="suv",
     scale="tiny",
     seed=2,
     cores=16,
@@ -50,7 +49,7 @@ DOOM = dict(
 
 def run_doom(resolution: str):
     tracer = Tracer(events=True)
-    spec = ExperimentSpec(resolution=resolution, **DOOM)
+    spec = ExperimentSpec(scheme=f"redirect+eager+{resolution}", **DOOM)
     result = execute_spec(spec, trace=tracer)
     reader_events = {
         kind: sum(
@@ -143,8 +142,8 @@ def test_managers_beat_abort_requester_for_the_reader(resolution):
 
 def run_starve(resolution: str, seed: int, tracer: Tracer | None = None):
     spec = ExperimentSpec(
-        workload="starve", scheme="suv", scale="tiny", seed=seed,
-        cores=8, stagger=0, resolution=resolution, check=True,
+        workload="starve", scheme=f"redirect+eager+{resolution}",
+        scale="tiny", seed=seed, cores=8, stagger=0, check=True,
     )
     return execute_spec(spec, trace=tracer)
 
@@ -187,7 +186,7 @@ def test_greedy_reader_priority_is_monotone_under_more_writers():
     for tx_per_writer in (4, 8, 16):
         tracer = Tracer(events=True)
         spec = dataclasses.replace(
-            ExperimentSpec(resolution="greedy", **DOOM),
+            ExperimentSpec(scheme="redirect+eager+greedy", **DOOM),
             workload_kwargs=(
                 ("reader_slots", 48), ("tx_per_writer", tx_per_writer),
                 ("writes_per_tx", 3), ("work_per_access", 30),

@@ -11,6 +11,7 @@ import pytest
 from repro.config import HTMConfig, SimConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.simulator import Simulator
+from tests.htm.schemes import at_resolution
 
 SHARED = 0x9000
 
@@ -18,8 +19,9 @@ SHARED = 0x9000
 def big_abort_run(scheme: str, n_lines: int, seed=3):
     """A transaction with an n-line write set loses to an older holder
     and must roll back; returns its Aborting time."""
-    cfg = SimConfig(n_cores=4, htm=HTMConfig(resolution="abort_requester"))
-    sim = Simulator(cfg, scheme=scheme, seed=seed)
+    cfg = SimConfig(n_cores=4)
+    sim = Simulator(cfg, scheme=at_resolution(scheme, "abort_requester"),
+                    seed=seed)
 
     def holder():
         def body():
@@ -71,8 +73,9 @@ def test_scheme_ordering_of_abort_windows():
 def test_neighbour_stall_tracks_abort_window(scheme, expect_flat):
     """A third thread touching the victim's data during rollback stalls
     for (roughly) the length of the repair window."""
-    cfg = SimConfig(n_cores=4, htm=HTMConfig(resolution="abort_requester"))
-    sim = Simulator(cfg, scheme=scheme, seed=4)
+    cfg = SimConfig(n_cores=4)
+    sim = Simulator(cfg, scheme=at_resolution(scheme, "abort_requester"),
+                    seed=4)
     lines = [0x20000 + i * 64 for i in range(64)]
 
     def holder():

@@ -12,30 +12,28 @@ seeds.
 
 import pytest
 
-from repro.config import HTMConfig, RedirectConfig, SimConfig
+from repro.config import RedirectConfig, SimConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.runner import ExperimentSpec, execute_spec
 from repro.simulator import Simulator
 from repro.trace import TX_ABORT, Tracer
 from repro.workloads import make_workload
+from tests.htm.schemes import at_resolution
 
 A = 0x1000
 B = 0x2000
 
 
-def _starve_config() -> SimConfig:
-    # abort_responder lets every small writer doom the huge reader: the
-    # harshest resolution for plain SUV's reader, a no-op for snapshots
-    return SimConfig(n_cores=4, htm=HTMConfig(resolution="abort_responder"))
-
-
 def _run_starve(scheme: str, **redirect: int):
-    config = _starve_config()
+    config = SimConfig(n_cores=4)
     if redirect:
         config = config.with_(redirect=RedirectConfig(**redirect))
     program = make_workload("starve", n_threads=4, seed=1, scale="tiny")
     tracer = Tracer(events=True)
-    sim = Simulator(config, scheme=scheme, seed=1, oracle=True, trace=tracer)
+    # abort_responder lets every small writer doom the huge reader: the
+    # harshest resolution for plain SUV's reader, a no-op for snapshots
+    sim = Simulator(config, scheme=at_resolution(scheme, "abort_responder"),
+                    seed=1, oracle=True, trace=tracer)
     result = sim.run(program.threads)
     sim.oracle.verify()
     program.verify(result.memory)

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.config import HTMConfig, SimConfig
+from repro.config import SimConfig
 from repro.htm.ops import OpenTx, Read, Tx, Work, Write
 from repro.simulator import Simulator
+from tests.htm.schemes import at_resolution
 
 
 def run(threads, scheme="suv", policy="stall", seed=8):
-    cfg = SimConfig(n_cores=4, htm=HTMConfig(resolution=policy))
-    sim = Simulator(cfg, scheme=scheme, seed=seed)
+    cfg = SimConfig(n_cores=4)
+    sim = Simulator(cfg, scheme=at_resolution(scheme, policy), seed=seed)
     return sim.run(threads, max_events=10_000_000)
 
 

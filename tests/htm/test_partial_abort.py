@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.config import HTMConfig, SimConfig
+from repro.config import SimConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.simulator import Simulator
+from tests.htm.schemes import at_resolution
 
 
 def run(threads, scheme="suv", seed=5):
-    cfg = SimConfig(n_cores=4, htm=HTMConfig(resolution="abort_requester"))
-    sim = Simulator(cfg, scheme=scheme, seed=seed)
+    cfg = SimConfig(n_cores=4)
+    sim = Simulator(cfg, scheme=at_resolution(scheme, "abort_requester"),
+                    seed=seed)
     return sim.run(threads), sim
 
 

@@ -1,7 +1,5 @@
 """The three-axis policy decomposition: legality, parsing, scheme names."""
 
-import dataclasses
-
 import pytest
 
 from repro.config import HTMConfig, SimConfig
@@ -12,7 +10,6 @@ from repro.htm.policy import (
     RESOLUTION_AXIS,
     VM_AXIS,
     SchemeComposition,
-    compose_scheme,
     iter_scheme_space,
     legal_combinations,
 )
@@ -73,14 +70,14 @@ def test_legal_combinations_counts_by_cd_axis():
 
 # -- composition value ----------------------------------------------------
 
-def test_compose_scheme_normalizes_and_validates():
-    assert compose_scheme() == "redirect+eager+stall"
-    assert (compose_scheme(vm="Redirect", cd="LAZY")
+def test_composed_names_normalize_and_validate():
+    assert SchemeComposition().name == "redirect+eager+stall"
+    assert (resolve_scheme_name("Redirect+LAZY+stall")
             == "redirect+lazy+stall")
-    assert (compose_scheme(resolution="abort-requester")
+    assert (resolve_scheme_name("redirect+eager+abort-requester")
             == "redirect+eager+abort_requester")
     with pytest.raises(IncompatiblePolicyError):
-        compose_scheme(vm="undo", cd="lazy")
+        resolve_scheme_name("undo+lazy+stall")
 
 
 def test_parse_rejects_non_composition_shapes():
@@ -90,13 +87,6 @@ def test_parse_rejects_non_composition_shapes():
     assert SchemeComposition.parse("undo+eager+stall+serial") is None
     comp = SchemeComposition.parse("undo+eager+stall")
     assert comp is not None and comp.vm == "undo"
-
-
-def test_from_value_accepts_mapping_and_rejects_unknown_axis():
-    comp = SchemeComposition.from_value({"vm": "redirect", "cd": "lazy"})
-    assert comp.name == "redirect+lazy+stall"
-    with pytest.raises(IncompatiblePolicyError):
-        SchemeComposition.from_value({"vm": "redirect", "nope": "x"})
 
 
 def test_canonical_axes_cover_every_registered_scheme():
@@ -111,9 +101,9 @@ def test_canonical_axes_cover_every_registered_scheme():
 # -- scheme-name lookups --------------------------------------------------
 
 def test_resolve_scheme_name_prefers_registered_aliases():
-    # two-token names stay canonical aliases, not compositions
+    # two-token names stay named schemes, not compositions
     assert resolve_scheme_name("dyntm+suv") == "dyntm+suv"
-    assert resolve_scheme_name("DYNTM_SUV") == "dyntm+suv"
+    assert resolve_scheme_name("DynTM+SUV") == "dyntm+suv"
     # three-token names canonicalize through the composition parser
     assert (resolve_scheme_name("Redirect+Lazy+Stall")
             == "redirect+lazy+stall")
@@ -151,7 +141,7 @@ def test_make_version_manager_builds_composed_schemes():
 def test_vm_package_exports_policy_api():
     import repro.htm.vm as vm
 
-    for name in ("compose_scheme", "make_version_manager", "AdaptiveVM",
+    for name in ("resolve_scheme", "make_version_manager", "AdaptiveVM",
                  "AdaptiveCD", "ConflictResolution",
                  "CommitArbitration", "SchemeComposition"):
         assert name in vm.__all__
@@ -161,24 +151,16 @@ def test_vm_package_exports_policy_api():
 # -- HTMConfig axes -------------------------------------------------------
 
 def test_htmconfig_policy_spelling_is_removed():
-    # ``resolution=`` is the only spelling of the resolution axis
+    # the scheme name is the only spelling of the policy axes
     with pytest.raises(TypeError):
         HTMConfig(policy="stall")
     # lazy commits always take the serial token: no arbitration field
     with pytest.raises(TypeError):
         HTMConfig(arbitration="serial")
-    assert HTMConfig(resolution="abort_requester").resolution == (
-        "abort_requester"
-    )
 
 
 def test_htmconfig_rejects_conflicts_and_unknowns():
-    with pytest.raises(ValueError, match="resolution"):
-        HTMConfig(resolution="nope")
-
-
-def test_htmconfig_defaults_resolution_to_stall():
-    assert HTMConfig().resolution == "stall"
-    cfg = HTMConfig(resolution="abort_responder")
-    again = dataclasses.replace(cfg, checkpoint_cycles=8)
-    assert again.resolution == "abort_responder"
+    # a named scheme is a fixed stall point: no config field can move
+    # its resolution, so nothing can disagree with the scheme name
+    with pytest.raises(TypeError):
+        HTMConfig(resolution="timestamp")

@@ -6,6 +6,7 @@ from repro.config import HTMConfig, SignatureConfig, SimConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.signatures.hashes import H3HashFamily
 from repro.simulator import Simulator
+from tests.htm.schemes import at_resolution
 
 
 def small_config(**kw):
@@ -111,10 +112,7 @@ def test_aborted_tx_work_counts_as_wasted():
         yield Work(50)   # let the winner grab the line first
         yield Tx(body)
 
-    res = run_threads(
-        [winner, loser], scheme="logtm-se",
-        config=small_config(htm=HTMConfig(resolution="abort_requester")),
-    )
+    res = run_threads([winner, loser], scheme="undo+eager+abort_requester")
     assert res.aborts >= 1
     assert res.breakdown.cycles["Wasted"] > 0
     assert res.breakdown.cycles["Backoff"] > 0
@@ -161,10 +159,7 @@ def test_abort_discards_speculative_state(scheme):
         yield Tx(body)
         yield Write(marker, 1)
 
-    res = run_threads(
-        [t0, t1], scheme=scheme,
-        config=small_config(htm=HTMConfig(resolution="abort_requester")),
-    )
+    res = run_threads([t0, t1], scheme=at_resolution(scheme, "abort_requester"))
     # whichever order things resolved, the final value is a committed one
     assert res.memory[a] in (111, 222)
     assert res.memory[marker] == 1
@@ -191,7 +186,7 @@ def test_repair_pathology_logtm_aborting_time():
         yield Work(120)
         yield Tx(body)
 
-    cfg = small_config(htm=HTMConfig(resolution="stall"))
+    cfg = small_config()
 
     def run(scheme):
         # seed chosen arbitrarily; deterministic comparison

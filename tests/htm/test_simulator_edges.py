@@ -65,8 +65,7 @@ def test_abort_requester_policy_nontx_still_stalls():
         v = yield Read(0x1000)
         seen.append(v)
 
-    sim = Simulator(cfg(htm=HTMConfig(resolution="abort_requester")),
-                    scheme="logtm-se", seed=2)
+    sim = Simulator(cfg(), scheme="undo+eager+abort_requester", seed=2)
     sim.run([tx_thread, nontx_thread])
     assert seen == [6]
 

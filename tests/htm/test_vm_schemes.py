@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import HTMConfig, RedirectConfig, SimConfig
+from repro.config import RedirectConfig, SimConfig
 from repro.core.redirect_entry import EntryState
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.htm.vm import make_version_manager
@@ -75,8 +75,7 @@ def test_logtm_logs_once_per_line():
 
 
 def test_logtm_abort_restores_per_line():
-    sim = Simulator(cfg(htm=HTMConfig(resolution="abort_requester")),
-                    scheme="logtm-se")
+    sim = Simulator(cfg(), scheme="undo+eager+abort_requester")
     a = 0x9000
 
     def holder():
@@ -135,8 +134,7 @@ def test_fastm_overflow_degenerates_to_logging():
 
 
 def test_fastm_fast_abort_without_overflow_is_constant():
-    sim = Simulator(cfg(htm=HTMConfig(resolution="abort_requester")),
-                    scheme="fastm")
+    sim = Simulator(cfg(), scheme="flash+eager+abort_requester")
     a = 0x9000
 
     def holder():
@@ -210,7 +208,7 @@ def test_suv_redirect_back_disabled_keeps_entry():
 
 
 def test_suv_abort_frees_pool_and_removes_entries():
-    sim = Simulator(cfg(htm=HTMConfig(resolution="abort_requester")), scheme="suv")
+    sim = Simulator(cfg(), scheme="redirect+eager+abort_requester")
     a = 0x9000
 
     def holder():

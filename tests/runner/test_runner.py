@@ -215,10 +215,12 @@ def test_simulation_error_is_terminal_on_the_first_attempt(workers):
 
 @PATHS
 def test_malformed_spec_is_terminal_on_the_first_attempt(workers):
-    # an unknown section, an unknown field and a value the config
+    # an unknown section, an unknown field (the retired resolution
+    # knob among them: the scheme name sets it) and a value the config
     # rejects fail identically on every attempt: never retried
     overrides = [
-        {"nosuch.field": 1}, {"htm.nosuch": 1}, {"htm.resolution": "bogus"},
+        {"nosuch.field": 1}, {"htm.nosuch": 1},
+        {"htm.resolution": "timestamp"}, {"l1.ways": 3},
     ]
     specs = [TINY.with_(config_overrides=o) for o in overrides]
     with Runner(max_workers=workers, retries=2) as runner:

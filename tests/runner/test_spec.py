@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UnknownSchemeError
+from repro.errors import ConfigError, UnknownSchemeError
 from repro.runner import ExperimentSpec, RunMatrix, execute_spec
 
 
@@ -45,25 +45,21 @@ def test_build_config_applies_overrides_and_knobs():
     spec = ExperimentSpec(
         "genome",
         cores=8,
-        resolution="abort_requester",
         stagger=128,
         config_overrides={"redirect.l1_entries": 64, "signature.bits": 256},
     )
     config = spec.build_config()
     assert config.n_cores == 8
-    assert config.htm.resolution == "abort_requester"
     assert config.htm.start_stagger == 128
     assert config.redirect.l1_entries == 64
     assert config.signature.bits == 256
 
 
 def test_spec_policy_kwarg_is_removed():
-    # ``resolution=`` is the only spelling of the resolution axis
-    with pytest.raises(TypeError):
-        ExperimentSpec("genome", policy="abort")
-    spec = ExperimentSpec("genome", resolution="abort_requester")
-    assert spec.resolution == "abort_requester"
-    assert spec.spec_hash() != ExperimentSpec("genome").spec_hash()
+    # the scheme name is the only spelling of the policy axes
+    for retired in ({"policy": "abort"}, {"resolution": "abort_requester"}):
+        with pytest.raises(TypeError):
+            ExperimentSpec("genome", **retired)
     # lazy commits always take the serial token: no arbitration field,
     # and a four-token composed name is not a scheme
     with pytest.raises(TypeError):
@@ -74,9 +70,20 @@ def test_spec_policy_kwarg_is_removed():
             execute_spec(ExperimentSpec(
                 "ssca2", scheme=four_token, scale="tiny", cores=4
             ))
-    # a journal written before the axis went still loads
+    # a journal written before the axes went still loads where the
+    # retired field says nothing the name does not
     old = dict(ExperimentSpec("ssca2").to_dict(), arbitration="serial")
     assert ExperimentSpec.from_dict(old) == ExperimentSpec("ssca2")
+    old = dict(ExperimentSpec("ssca2").to_dict(), resolution="stall")
+    assert ExperimentSpec.from_dict(old) == ExperimentSpec("ssca2")
+    composed = ExperimentSpec("ssca2", scheme="redirect+eager+timestamp")
+    old = dict(composed.to_dict(), resolution="timestamp")
+    assert ExperimentSpec.from_dict(old) == composed
+    # ... and a named scheme at another resolution is refused, naming
+    # the composed spelling instead of loading as a stall run
+    old = dict(ExperimentSpec("ssca2").to_dict(), resolution="timestamp")
+    with pytest.raises(ConfigError, match="redirect\\+eager\\+timestamp"):
+        ExperimentSpec.from_dict(old)
 
 
 def test_build_config_rejects_unknown_paths():

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import SCHEMES, build_parser, main
@@ -304,14 +307,6 @@ def test_run_accepts_composed_scheme_name(capsys):
     assert "oracle: PASSED" in out
 
 
-def test_run_composes_scheme_from_axis_flags(capsys):
-    rc = main(["run", "ssca2", "--vm", "undo", "--resolution", "timestamp",
-               "--scale", "tiny", "--cores", "4"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "under undo+eager+timestamp" in out
-
-
 def test_run_rejects_unknown_and_illegal_schemes(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "ssca2", "sub"])
@@ -332,10 +327,49 @@ def test_run_rejects_unknown_and_illegal_schemes(capsys):
 
 def test_matrix_sweeps_policy_axes(capsys, tmp_path):
     rc = main(["matrix", "--workloads", "ssca2",
-               "--vms", "redirect", "buffer", "--cds", "lazy",
+               "--schemes", "redirect+lazy+stall", "buffer+lazy+stall",
                "--scale", "tiny", "--cores", "4", "--jobs", "1",
                "--cache-dir", str(tmp_path / "cache"), "--quiet"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "redirect+lazy+stall" in out
     assert "buffer+lazy+stall" in out
+
+
+def _documented_commands():
+    """Every ``python -m repro`` command in the fenced blocks of the docs.
+
+    ``\\`` continuations are joined; comments and anything after a pipe
+    or a redirection are dropped.
+    """
+    root = Path(__file__).resolve().parent.parent
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        fenced, pending = False, ""
+        for lineno, line in enumerate(
+            (root / doc).read_text().splitlines(), 1
+        ):
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            pending += line.rstrip()
+            if pending.endswith("\\"):
+                pending = pending[:-1] + " "
+                continue
+            command, pending = pending, ""
+            if "python -m repro " not in command:
+                continue
+            argv = shlex.split(
+                command.split("python -m repro ", 1)[1], comments=True
+            )
+            for stop in ("|", ">", "&&", ";"):
+                if stop in argv:
+                    argv = argv[:argv.index(stop)]
+            yield pytest.param(argv, id=f"{doc}:{lineno}")
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_commands_parse(argv):
+    # a deleted flag cannot leave a stale documented command behind
+    build_parser().parse_args(argv)
