@@ -1,14 +1,14 @@
 """Concurrent experiment execution.
 
 :class:`Runner` executes :class:`~repro.runner.spec.ExperimentSpec`
-lists with a ``ProcessPoolExecutor``: per-run timeouts, bounded
-verbatim retry of infrastructure failures (a simulation error is the
-spec's result and is never retried), and graceful degradation to
-in-process serial execution when process pools are unavailable (or
-break mid-run).  Results cross the process boundary as
-:meth:`SimResult.to_json` strings, the same representation the on-disk
-cache uses, so parallel and serial execution are observationally
-identical.
+lists with a ``ProcessPoolExecutor``: a per-run timeout enforced inside
+each pool worker, bounded verbatim retry of infrastructure failures (a
+simulation error is the spec's result and is never retried), and
+graceful degradation to in-process serial execution when process pools
+are unavailable (or break mid-run).  Results cross the process boundary
+as :meth:`SimResult.to_json` strings, the same representation the
+on-disk cache uses, so parallel and serial execution are
+observationally identical.
 
 The module-level conveniences are the stable public API surface:
 
@@ -21,13 +21,12 @@ The module-level conveniences are the stable public API surface:
 from __future__ import annotations
 
 import hashlib
-import math
 import os
+import signal
 import sys
 import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,8 +98,25 @@ def _warm_init() -> None:
     import repro.workloads  # noqa: F401
 
 
+class _Overrun(BaseException):
+    """SIGALRM: a pooled spec ran past its timeout (no ``except
+    Exception`` in a worker can swallow it)."""
+
+
+#: True while a pool worker's timer covers a running spec, so a late
+#: alarm after the spec returned is ignored
+_armed = False
+
+
+def _on_alarm(signum: int, frame: Any) -> None:
+    if _armed:
+        raise _Overrun
+
+
 def _attempt(
-    worker: Callable[[ExperimentSpec], Any], spec: ExperimentSpec
+    worker: Callable[[ExperimentSpec], Any],
+    spec: ExperimentSpec,
+    timeout: float | None = None,
 ) -> tuple[str, Any, float]:
     """Run one spec: a ``(status, payload, seconds)`` triple.
 
@@ -109,13 +125,25 @@ def _attempt(
     by the run (a deadlock, an exhausted event budget, an oracle
     violation, an illegal scheme, a malformed config) is the spec's own
     result: ``"fail"``, terminal on the first attempt, with ``(error
-    type, message)`` as payload.  Any other exception is a failure of
-    the infrastructure: ``"retry"`` with its message, since re-running
-    the identical spec may succeed.
+    type, message)`` as payload.  Any other exception, or a run past
+    ``timeout`` (a ``SIGALRM`` timer only :func:`_chunk_worker` arms),
+    is a failure of the infrastructure: ``"retry"`` with its message,
+    since re-running the identical spec may succeed.
     """
+    global _armed
     start = time.monotonic()
     try:
-        status, payload = "ok", worker(spec)
+        if timeout is not None:
+            _armed = True
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+        try:
+            status, payload = "ok", worker(spec)
+        finally:
+            if timeout is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                _armed = False
+    except _Overrun:
+        status, payload = "retry", f"timed out after {timeout}s"
     except ReproError as exc:
         status, payload = "fail", (type(exc).__name__, str(exc))
     except Exception as exc:
@@ -124,14 +152,27 @@ def _attempt(
 
 
 def _chunk_worker(
-    worker: Callable[[ExperimentSpec], Any], specs: tuple[ExperimentSpec, ...]
+    worker: Callable[[ExperimentSpec], Any],
+    specs: tuple[ExperimentSpec, ...],
+    timeout: float | None,
 ) -> list[tuple[str, Any, float]]:
     """Pool task: run specs in order, one :func:`_attempt` triple each.
 
-    Several specs per task amortize the submit/pickle cost, and a
-    failing spec does not take its chunk siblings down with it.
+    Several specs per task amortize the submit/pickle cost, and neither
+    a failing nor a timed-out spec takes its chunk siblings down.  Pool
+    tasks run on the worker's main thread, which may own ``SIGALRM``.
     """
-    return [_attempt(worker, spec) for spec in specs]
+    if timeout is not None:
+        signal.signal(signal.SIGALRM, _on_alarm)
+    return [_attempt(worker, spec, timeout) for spec in specs]
+
+
+def _chunks(pending: list[int], workers: int) -> list[tuple[int, ...]]:
+    """About four pool tasks per worker, task ``k`` = ``pending[k::n]``:
+    neighbouring specs (often one workload's) go to different tasks."""
+    size = max(1, len(pending) // (workers * 4))
+    n_tasks = -(-len(pending) // size)
+    return [tuple(pending[k::n_tasks]) for k in range(n_tasks)]
 
 
 def _try_coerce(payload: Any) -> tuple[SimResult | None, str]:
@@ -182,8 +223,9 @@ class Runner:
       ``1`` or fewer = in-process serial execution.
     * ``cache`` — a :class:`ResultCache` (or its root path) consulted
       before running and updated after; ``None`` disables caching.
-    * ``timeout`` — per-run wall-clock budget in seconds (pool mode
-      only; serial runs cannot be preempted).
+    * ``timeout`` — per-run wall-clock budget in seconds, enforced by
+      a ``SIGALRM`` timer inside each pool worker (pool mode only; a
+      serial run is never preempted).
     * ``retries`` — how many times a run that timed out, crashed the
       worker or returned a corrupt payload is re-run, with the
       identical spec.  A :class:`~repro.errors.ReproError` raised by
@@ -195,9 +237,6 @@ class Runner:
       or a callable receiving each line.
     * ``worker`` — the pool task (a picklable
       ``spec -> SimResult | json-str``); replaceable for testing.
-    * ``chunk_size`` — specs per pool task when no ``timeout`` is set
-      (with one, every task is one spec); ``None`` sizes chunks
-      automatically.
     * ``journal`` — a :class:`~repro.runner.journal.CampaignJournal`
       (or its path): every spec state transition is checkpointed
       write-ahead, and an existing journal resumes the campaign it
@@ -214,7 +253,7 @@ class Runner:
     The worker pool is *persistent*: created on first use (workers
     pre-import the simulator stack) and reused by later ``run()`` calls,
     so repeated small matrices skip process spawn and import cost.  It
-    is recycled automatically after a timeout or pool breakage; call
+    is recycled automatically after a pool breakage; call
     :meth:`close` (or use the runner as a context manager) to release
     it deterministically.
     """
@@ -228,7 +267,6 @@ class Runner:
         artifacts: ArtifactStore | str | Path | None = None,
         progress: bool | Callable[[str], None] = False,
         worker: Callable[[ExperimentSpec], Any] | None = None,
-        chunk_size: int | None = None,
         journal: CampaignJournal | str | Path | None = None,
         breaker_threshold: int = 3,
         backoff_base_s: float = 0.1,
@@ -248,9 +286,6 @@ class Runner:
         self.artifacts = artifacts
         self.progress = progress
         self._worker = worker
-        #: specs per pool task when no per-run ``timeout`` is set;
-        #: ``None`` = auto (sized so every worker gets several chunks)
-        self.chunk_size = chunk_size
         self._owns_journal = isinstance(journal, (str, Path))
         if isinstance(journal, (str, Path)):
             journal = CampaignJournal(journal)
@@ -279,7 +314,7 @@ class Runner:
             if self.cache.quarantine_hook is None:
                 self.cache.quarantine_hook = self.journal.record_quarantine
         #: the persistent warm pool (created lazily, reused across
-        #: ``run()`` calls, recycled after a timeout or pool breakage)
+        #: ``run()`` calls, recycled after a pool breakage)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_workers = 0
 
@@ -382,7 +417,8 @@ class Runner:
         pool, self._pool = self._pool, None
         self._pool_workers = 0
         if pool is not None:
-            # don't block on tasks abandoned by a timeout
+            # don't block on tasks a breakage or an abandoned
+            # run_iter() left behind
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _pool_indexed(
@@ -483,98 +519,56 @@ class Runner:
     ) -> Iterator[tuple[int, RunOutcome]]:
         """The one dispatch loop: run ``pending`` as pool tasks.
 
-        A task is a tuple of spec indices run by :func:`_chunk_worker`:
-        ``chunk_size`` specs (auto-sized) when no ``timeout`` is set,
-        one spec when it is, so the budget stays per spec.  Without a
-        timeout every task is submitted at once and the pool prefetches;
-        with one, at most one task per worker is in flight, so a task
-        starts when it is submitted and its deadline counts from then.
-        A spec that earns a retry goes back on the queue as one more
-        single-spec task.  A timed-out task cannot be preempted: it
-        keeps its worker, and once every worker is held so, the pool
-        is swapped for a fresh one.
+        A task is a tuple of spec indices (:func:`_chunks`) run by
+        :func:`_chunk_worker`, which enforces the per-run ``timeout``
+        itself.  Every task is submitted at once and the pool
+        prefetches.  A spec that earns a retry goes back on the queue
+        as one more single-spec task.
         """
-        workers = self._pool_workers
-        if self.timeout is None:
-            size = self.chunk_size or max(1, len(pending) // (workers * 4))
-            slots = budget = math.inf
-        else:
-            size, slots, budget = 1, workers, self.timeout
         queue = deque(
-            (tuple(pending[at:at + size]), 1)
-            for at in range(0, len(pending), size)
+            (indices, 1) for indices in _chunks(pending, self._pool_workers)
         )
         unresolved = set(pending)
-        # future -> (spec indices, attempt, deadline)
-        live: dict[Future, tuple[tuple[int, ...], int, float]] = {}
-        stuck: list[Future] = []  # timed out, still holding a worker
-        finished: list[tuple[tuple[int, ...], int, list]] = []
-        while queue or live or finished:
-            stuck = [future for future in stuck if not future.done()]
+        live: dict[Future, tuple[tuple[int, ...], int]] = {}
+        while queue or live:
             try:
-                if queue and not live and len(stuck) >= workers:
-                    self._close_pool()
-                    stuck = []
-                    pool = self._ensure_pool(workers)
-                while queue and len(live) + len(stuck) < slots:
+                while queue:
                     indices, attempt = queue.popleft()
                     for i in indices:
                         self._journal_running(specs[i], attempt=attempt)
                     future = pool.submit(
-                        _chunk_worker, worker, tuple(specs[i] for i in indices)
+                        _chunk_worker, worker,
+                        tuple(specs[i] for i in indices), self.timeout,
                     )
-                    live[future] = (indices, attempt, time.monotonic() + budget)
+                    live[future] = (indices, attempt)
             except (RuntimeError, OSError):
-                # BrokenProcessPool, a shut-down pool, or no fresh pool
+                # BrokenProcessPool, a shut-down pool, or a worker that
+                # could not start
                 self._pool_broke(unresolved, broken)
                 return
-            if finished:
-                # settled once the freed workers have their next task
-                for indices, attempt, triples in finished:
-                    for i, triple in zip(indices, triples):
-                        outcome = self._settle(specs[i], attempt, *triple)
-                        if outcome is None:
-                            queue.append(((i,), attempt + 1))
-                            continue
-                        unresolved.discard(i)
-                        self._finish(outcome)
-                        yield i, outcome
-                finished = []
-                continue
-            # the first completion (or deadline); through as_completed,
-            # whose waits benchmarks/e2e/layers.py times as pool_wait
-            first = min(deadline for _, _, deadline in live.values())
-            try:
-                next(as_completed(
-                    live,
-                    None if first == math.inf
-                    else max(0.0, first - time.monotonic()),
-                ))
-            except FuturesTimeoutError:
-                pass
-            now = time.monotonic()
-            for future, (indices, attempt, deadline) in list(live.items()):
-                if future.done():
-                    try:
-                        triples = future.result()
-                    except BrokenProcessPool:
-                        self._pool_broke(unresolved, broken)
-                        return
-                    except Exception as exc:
-                        lost = ("retry", f"{type(exc).__name__}: {exc}", 0.0)
-                        triples = [lost] * len(indices)
-                elif deadline <= now:
-                    if not future.cancel():
-                        stuck.append(future)
-                    expired = ("retry", f"timed out after {budget}s", 0.0)
-                    triples = [expired] * len(indices)
-                else:
+            # the first completion; through as_completed, whose waits
+            # benchmarks/e2e/layers.py times as pool_wait
+            next(as_completed(live))
+            for future, (indices, attempt) in list(live.items()):
+                if not future.done():
                     continue
                 del live[future]
-                finished.append((indices, attempt, triples))
-        if stuck:
-            # abandoned tasks still occupy workers; start fresh next run
-            self._close_pool()
+                try:
+                    triples = future.result()
+                except BrokenProcessPool:
+                    self._pool_broke(unresolved, broken)
+                    return
+                except Exception as exc:
+                    lost = ("retry", f"{type(exc).__name__}: {exc}", 0.0)
+                    triples = [lost] * len(indices)
+                for i, triple in zip(indices, triples):
+                    outcome = self._settle(specs[i], attempt, *triple)
+                    if outcome is None:
+                        queue.append(((i,), attempt + 1))
+                        continue
+                    unresolved.discard(i)
+                    self._finish(outcome)
+                    yield i, outcome
 
     # -- serial path -----------------------------------------------------
     def _run_serial(self, spec: ExperimentSpec) -> RunOutcome:

@@ -28,7 +28,7 @@ Event kinds (all carry ``"event"`` and most carry ``"spec_hash"``):
 ``spec_done``
     A spec completed: attempts, duration, whether it was a cache hit
     (``cached``), whether it was already done in a prior session
-    (``resumed``), whether the result-cache write stuck (``cache_ok``)
+    (``resumed``), whether the result-cache write succeeded (``cache_ok``)
     and a sha256 digest of the result JSON for byte-identity audits.
 ``spec_failed``
     A spec failed *terminally*: attempts, the error text and the typed

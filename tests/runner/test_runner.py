@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import OracleViolation
 from repro.runner import CampaignReport, ExperimentSpec, ResultCache, Runner
-from repro.runner.executor import execute_spec
+from repro.runner.executor import _chunks, execute_spec
 
 TINY = ExperimentSpec("ssca2", scheme="suv", scale="tiny", cores=4)
 #: the pool path (two workers) and the in-process serial path
@@ -44,6 +44,22 @@ def garbage_worker(spec):
 def slow_start_worker(spec):
     time.sleep(0.3)
     return execute_spec(spec).to_json()
+
+
+class HangsOnSeedOne:
+    """Sleeps ``hang_s`` on seed 1, runs every other spec; each call
+    appends ``<spec hash> <pid>`` to ``root/pids.log``."""
+
+    def __init__(self, root, hang_s):
+        self.root = str(root)
+        self.hang_s = hang_s
+
+    def __call__(self, spec):
+        with open(os.path.join(self.root, "pids.log"), "a") as log:
+            log.write(f"{spec.spec_hash()} {os.getpid()}\n")
+        if spec.seed == 1:
+            time.sleep(self.hang_s)
+        return execute_spec(spec).to_json()
 
 
 class Flaky:
@@ -172,8 +188,7 @@ def test_pool_retry_accounting_is_verbatim(tmp_path):
     # a budget of two retries, of which a fail-once spec spends one
     specs = [TINY.with_(seed=3), TINY.with_(seed=4)]
     with Runner(
-        max_workers=2, retries=2, worker=Flaky(tmp_path, "crash"),
-        chunk_size=1,
+        max_workers=2, retries=2, worker=Flaky(tmp_path, "crash")
     ) as runner:
         outcomes = runner.run(specs)
     for outcome in outcomes:
@@ -279,9 +294,34 @@ def test_timed_out_spec_reruns_the_identical_spec(tmp_path):
     assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
 
 
+def test_timed_out_spec_frees_its_worker_for_its_chunk_siblings(tmp_path):
+    # 16 specs on 2 workers are 8 two-spec tasks; the hang (index 0)
+    # runs first in its task, its sibling (index 8) after it
+    assert (0, 8) in _chunks(list(range(16)), 2)
+    specs = [TINY.with_(seed=s) for s in range(1, 17)]
+    start = time.monotonic()
+    with Runner(
+        max_workers=2, timeout=1.0, retries=0,
+        worker=HangsOnSeedOne(tmp_path, 20.0),
+    ) as runner:
+        outcomes = runner.run(specs)
+    assert time.monotonic() - start < 10.0  # the timer cut the hang
+    hung = outcomes[0]
+    assert hung.error_type == "RetryBudgetExhausted"
+    assert "timed out after 1.0s" in hung.error
+    for spec, outcome in zip(specs[1:], outcomes[1:]):
+        assert outcome.ok
+        assert outcome.result.to_json() == execute_spec(spec).to_json()
+    # the sibling ran in the worker the hang had held
+    pids = dict(
+        line.split() for line in (tmp_path / "pids.log").read_text().splitlines()
+    )
+    assert pids[specs[8].spec_hash()] == pids[specs[0].spec_hash()]
+
+
 def test_pooled_duration_is_measured_in_the_worker():
-    # with a timeout every spec is its own task; a spec that finished
-    # next to a slower one must still report its own run time
+    # a spec that finished next to a slower one in its chunk or pool
+    # must still report its own run time
     specs = [TINY.with_(seed=s) for s in (1, 2, 3, 4)]
     with Runner(
         max_workers=2, timeout=60.0, retries=0, worker=slow_start_worker
@@ -486,36 +526,53 @@ def test_warm_pool_reused_across_runs():
     assert runner._pool is None  # context exit released it
 
 
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 17, 96, 101])
+def test_chunks_cover_pending_once_and_interleave(n, workers):
+    pending = list(range(100, 100 + 2 * n, 2))  # any increasing ids
+    tasks = _chunks(pending, workers)
+    assert sorted(i for task in tasks for i in task) == pending
+    assert len(tasks) <= min(n, workers * 8)  # about four per worker
+    sizes = [len(task) for task in tasks]
+    assert max(sizes) - min(sizes) <= 1
+    owner = {i: k for k, task in enumerate(tasks) for i in task}
+    assert all(owner[a] != owner[b] for a, b in zip(pending, pending[1:]))
+
+
+#: 16 specs on 2 workers are 8 two-spec tasks
+CHUNKED = [TINY.with_(seed=s) for s in range(1, 17)]
+
+
 def test_chunked_pool_matches_serial():
-    specs = [TINY.with_(seed=s) for s in range(1, 7)]
-    serial = [Runner(max_workers=1, retries=0).run_one(s) for s in specs]
-    with Runner(max_workers=2, retries=0, chunk_size=3) as runner:
-        pooled = runner.run(specs)
-    assert [o.result.total_cycles for o in pooled] == [
-        o.result.total_cycles for o in serial
+    assert all(len(task) == 2 for task in _chunks(list(range(16)), 2))
+    serial = [Runner(max_workers=1, retries=0).run_one(s) for s in CHUNKED]
+    with Runner(max_workers=2, retries=0) as runner:
+        pooled = runner.run(CHUNKED)
+    assert [o.result.to_json() for o in pooled] == [
+        o.result.to_json() for o in serial
     ]
 
 
 def test_chunked_crash_retried_verbatim(tmp_path):
-    specs = [TINY.with_(seed=1), TINY.with_(seed=2)]
     with Runner(
-        max_workers=2, retries=1, worker=Flaky(tmp_path, "crash"),
-        chunk_size=2,
+        max_workers=2, retries=1, worker=Flaky(tmp_path, "crash")
     ) as runner:
-        outcomes = runner.run(specs)
+        outcomes = runner.run(CHUNKED)
     assert all(o.ok for o in outcomes)
     assert all(o.attempts == 2 for o in outcomes)
-    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in specs}
+    assert calls(tmp_path) == {spec.spec_hash(): 2 for spec in CHUNKED}
 
 
 def test_chunk_failure_does_not_take_siblings_down():
-    with Runner(
-        max_workers=2, retries=0, worker=crashy_worker, chunk_size=2
-    ) as runner:
-        # seed 2000 succeeds, seed 1 crashes — same chunk
-        outcomes = runner.run([TINY.with_(seed=2000), TINY.with_(seed=1)])
-    assert outcomes[0].ok
-    assert not outcomes[1].ok and "boom" in outcomes[1].error
+    # seeds from 2000 succeed; index 8 (seed 1) crashes right after
+    # index 0 in the same task
+    assert (0, 8) in _chunks(list(range(16)), 2)
+    specs = [TINY.with_(seed=s) for s in range(2000, 2016)]
+    specs[8] = TINY.with_(seed=1)
+    with Runner(max_workers=2, retries=0, worker=crashy_worker) as runner:
+        outcomes = runner.run(specs)
+    assert not outcomes[8].ok and "boom" in outcomes[8].error
+    assert all(o.ok for i, o in enumerate(outcomes) if i != 8)
 
 
 def test_run_iter_streams_outcomes():
