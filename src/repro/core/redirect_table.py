@@ -28,7 +28,7 @@ from repro.config import RedirectConfig
 from repro.core.redirect_entry import RedirectEntry
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Where a lookup found (or didn't find) an entry, and its cost."""
 

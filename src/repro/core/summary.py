@@ -88,9 +88,7 @@ class RedirectSummaryFilter:
         """
         if self._removes_since_rebuild < self.rebuild_threshold:
             return False
-        self._sig.clear()
-        for line in live_lines:
-            self._sig.add(line)
+        self._sig.rebuild(live_lines)
         self._removes_since_rebuild = 0
         self.rebuilds += 1
         return True

@@ -86,20 +86,22 @@ class TxFrame:
         )
 
     # ------------------------------------------------------------------
-    def record_read(self, line: int) -> bool:
-        """Add ``line`` to the read set; True when it was new."""
+    def record_read(self, line: int, mask: int) -> bool:
+        """Add ``line``, whose H3 mask is ``mask``, to the read set; True
+        when it was new."""
         if line in self.read_lines:
             return False
         self.read_lines.add(line)
-        self.read_sig.add(line)
+        self.read_sig.add_mask(mask)
         return True
 
-    def record_write(self, line: int) -> bool:
-        """Add ``line`` to the write set; True when it was new."""
+    def record_write(self, line: int, mask: int) -> bool:
+        """Add ``line``, whose H3 mask is ``mask``, to the write set; True
+        when it was new."""
         if line in self.write_lines:
             return False
         self.write_lines.add(line)
-        self.write_sig.add(line)
+        self.write_sig.add_mask(mask)
         return True
 
     def merge_child(self, child: "TxFrame") -> None:

@@ -34,7 +34,11 @@ class BloomSignature:
         self._count = 0
 
     def add(self, value: int) -> None:
-        self._word |= self._hash.mask(value)
+        self.add_mask(self._hash.mask(value))
+
+    def add_mask(self, mask: int) -> None:
+        """``add`` for a value whose H3 mask the caller already holds."""
+        self._word |= mask
         self._count += 1
 
     def test(self, value: int) -> bool:
@@ -101,13 +105,16 @@ class CountingSummarySignature:
     filter may remain a superset of the represented set.
     """
 
-    __slots__ = ("bits", "hashes", "_hash", "_sig", "_once",
+    __slots__ = ("bits", "hashes", "_hash", "_masks", "_sig", "_once",
                  "adds", "removes")
 
     def __init__(self, bits: int, hashes: int, seed: int = 0x5BB) -> None:
         self.bits = bits
         self.hashes = hashes
         self._hash = H3HashFamily.shared(hashes, bits, seed)
+        #: the family's mask memo, read directly by ``test`` (every
+        #: memory access under SUV asks it); a miss falls back to ``mask``
+        self._masks = self._hash.mask_memo
         self._sig = 0
         self._once = 0
         self.adds = 0
@@ -120,18 +127,22 @@ class CountingSummarySignature:
         # writer's bit no longer is
         once = (self._once & ~mask) | (mask & ~self._sig)
         if mask.bit_count() < self.hashes:
-            # coinciding hash indexes write their bit twice: never unique
-            seen = 0
-            for idx in self._hash.indexes(value):
-                bit = 1 << idx
-                if seen & bit:
-                    once &= ~bit
-                seen |= bit
+            once &= ~self._coinciding(value)
         self._once = once
         self._sig |= mask
 
+    def _coinciding(self, value: int) -> int:
+        """Bits that two of ``value``'s hash indexes set: a bit written
+        twice by one insertion is never uniquely owned."""
+        seen = twice = 0
+        for idx in self._hash.indexes(value):
+            bit = 1 << idx
+            twice |= seen & bit
+            seen |= bit
+        return twice
+
     def test(self, value: int) -> bool:
-        mask = self._hash.mask(value)
+        mask = self._masks.get(value) or self._hash.mask(value)
         return self._sig & mask == mask
 
     def remove(self, value: int) -> None:
@@ -144,6 +155,24 @@ class CountingSummarySignature:
     def clear(self) -> None:
         self._sig = 0
         self._once = 0
+
+    def rebuild(self, values) -> None:
+        """``clear()`` then ``add(v)`` for each of ``values``, in one pass:
+        a bit is uniquely owned unless two values cover it or one value's
+        hash indexes coincide on it."""
+        mask_of = self._hash.mask
+        sig = shared = 0
+        n = 0
+        for value in values:
+            mask = mask_of(value)
+            shared |= sig & mask
+            if mask.bit_count() < self.hashes:
+                shared |= self._coinciding(value)
+            sig |= mask
+            n += 1
+        self._sig = sig
+        self._once = sig & ~shared
+        self.adds += n
 
     @property
     def popcount(self) -> int:

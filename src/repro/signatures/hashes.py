@@ -41,7 +41,9 @@ class H3HashFamily:
             1, 1 << 63, size=(k, self.bits), dtype=np.int64
         ).tolist()
         self._memo: dict[int, tuple[int, ...]] = {}
-        self._mask_memo: dict[int, int] = {}
+        #: value -> mask cache behind :meth:`mask`; hot callers may read
+        #: it directly (``mask_memo.get(v) or mask(v)``), never write it
+        self.mask_memo: dict[int, int] = {}
 
     @classmethod
     def shared(cls, k: int, m: int, seed: int) -> "H3HashFamily":
@@ -62,7 +64,7 @@ class H3HashFamily:
         for masks in self._masks:
             idx = 0
             for b, mask in enumerate(masks):
-                idx |= (bin(value & mask).count("1") & 1) << b
+                idx |= ((value & mask).bit_count() & 1) << b
             out.append(idx)
         result = tuple(out)
         memo = self._memo
@@ -80,13 +82,13 @@ class H3HashFamily:
         ``word | mask`` inserts the value into a Bloom word and
         ``word & mask == mask`` tests membership, each in O(1) int ops.
         """
-        cached = self._mask_memo.get(value)
+        cached = self.mask_memo.get(value)
         if cached is not None:
             return cached
         mask = 0
         for idx in self.indexes(value):
             mask |= 1 << idx
-        memo = self._mask_memo
+        memo = self.mask_memo
         if len(memo) >= _MEMO_LIMIT:
             memo.pop(next(iter(memo)))
         memo[value] = mask

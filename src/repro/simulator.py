@@ -36,6 +36,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.config import LINE_SHIFT, SimConfig
@@ -311,6 +312,7 @@ class Simulator:
         self._spec_const = self.scheme.wants_speculative_marking()
         self._local_const = self.scheme.uses_local_writes()
         self._mask_of = self._sig_family.mask
+        self._mask_memo = self._sig_family.mask_memo
         #: multiversion snapshot hooks (mvsuv); every one is None for
         #: ordinary schemes, so the per-access guard is one attribute
         #: test and no behaviour changes
@@ -335,6 +337,11 @@ class Simulator:
         self.policy_axes: dict[str, str] = composition.as_dict()
         self.trace.labels.update(self.policy_axes)
         self._stall_period = self.config.htm.stall_retry_period
+        #: preemption thresholds: a thread's time slice, stretched for a
+        #: thread inside a transaction (its armed signatures would stall
+        #: everyone, so only a runaway transaction loses the core)
+        self._slice = self.config.htm.time_slice or 20_000
+        self._tx_slice = self._slice * max(1, self.config.htm.tx_slice_grace)
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults = faults
@@ -359,6 +366,9 @@ class Simulator:
         self._vis_w = 0
         self._vis_r = 0
         self._vis_dirty = False
+        #: the armed set: threads whose visible words are non-zero, the
+        #: only ones a visible holder can be (DESIGN §11)
+        self._armed: set[_ThreadCtx] = set()
         if oracle is True:
             oracle = OracleRecorder()
         self.oracle: OracleRecorder | None = oracle or None
@@ -569,17 +579,6 @@ class Simulator:
         else:
             self.queue.schedule(cost, core.step_cb)
 
-    def _should_preempt(self, core: _Core) -> bool:
-        if not self._multiplex or not self._ready:
-            return False
-        slice_len = self.config.htm.time_slice or 20_000
-        if core.in_tx:
-            # avoid descheduling an active transaction (its armed
-            # signatures would stall everyone): only runaway
-            # transactions lose the core
-            slice_len *= max(1, self.config.htm.tx_slice_grace)
-        return (self.queue.now - core.ctx.slice_start) >= slice_len
-
     # ==================================================================
     # the per-core step machine
     # ==================================================================
@@ -605,7 +604,9 @@ class Simulator:
                     core.charge("NoTrans", frozen)
                 self._resume_after(core, frozen)
                 return
-        if self._multiplex and self._ready and self._should_preempt(core):
+        if (self._multiplex and self._ready
+                and self.queue.now - ctx.slice_start
+                >= (self._tx_slice if ctx.frames else self._slice)):
             # suspend at an operation boundary; transactional state
             # (signatures, redirect entries, logs) stays armed
             self._park(core, "preempt")
@@ -971,14 +972,16 @@ class Simulator:
         is_write = type(op) is Write
         ctx = core.ctx
         frames = ctx.frames
+        # the line's one H3 lookup of this access: the scan probes it and
+        # the frame's signature records it
+        mask = self._mask_memo.get(line) or self._mask_of(line)
         # the visibility rule of _holds, inlined (per-access hot path):
         # a lazy frame that is not publishing yet and a snapshot frame
         # (wait-free) neither scan nor arm their signatures
         if (frames and frames[-1].mode != "eager"
                 and not frames[-1].vm.get("publishing")):
-            self._perform_access(core, op, line, is_write, 0)
+            self._perform_access(core, op, line, is_write, mask, False)
             return
-        mask = self._mask_of(line)
         # the summary only ever rejects a scan: no frame's word covers
         # the mask unless the OR of all visible words does
         if ((self._vis_w & mask == mask
@@ -1015,14 +1018,14 @@ class Simulator:
                     # out the conflicting transaction (it cannot deadlock)
                     self._stall_on(core, holder, op)
                 return
-        self._perform_access(core, op, line, is_write, mask)
+        self._perform_access(core, op, line, is_write, mask, True)
 
     def _perform_access(
         self, core: _Core, op: Read | Write, line: int, is_write: bool,
-        mask: int,
+        mask: int, visible: bool,
     ) -> None:
         """Carry out an access that found no conflict.  ``mask`` is the
-        line's H3 mask when the frame is visible, else 0."""
+        line's H3 mask; ``visible`` says the frame's new bits arm."""
         scheme = self.scheme
         ctx = core.ctx
         if ctx.frames:
@@ -1031,7 +1034,7 @@ class Simulator:
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
             if is_write:
-                if frame.record_write(line) and mask:
+                if frame.record_write(line, mask) and visible:
                     self._note_visible(core, ctx, mask, True, frame.write_sig._word)
                 extra, phys = scheme.pre_write(core.idx, frame, line)
                 # the per-frame speculative/local-write hooks are
@@ -1055,7 +1058,7 @@ class Simulator:
                     self.oracle.record_tx_write(frame, op.addr, op.value)
                 latency = result.latency + extra
             else:
-                if frame.record_read(line) and mask:
+                if frame.record_read(line, mask) and visible:
                     self._note_visible(core, ctx, mask, False, frame.read_sig._word)
                 extra, phys = scheme.pre_read(core.idx, frame, line)
                 result = self.hierarchy.read(core.idx, phys)
@@ -1148,6 +1151,7 @@ class Simulator:
         else:
             ctx.vis_r |= mask
             self._vis_r |= mask
+        self._armed.add(ctx)
         if self._parked and core.idx < self._park_hmax:
             # only the signature that gained bits can newly conflict
             if is_write:
@@ -1164,12 +1168,15 @@ class Simulator:
         ctx.vis_r |= r
         self._vis_w |= w
         self._vis_r |= r
+        if ctx.vis_w | ctx.vis_r:
+            self._armed.add(ctx)
         if self._parked and core.idx < self._park_hmax:
             self._unpark_covered(core.idx, w, r)
 
     def _drop_frames(self, ctx: _ThreadCtx) -> None:
-        """Frames left ``ctx``: recompute its visible words, and let the
-        next probe the stale summary fails to reject rebuild it."""
+        """Frames left ``ctx``: recompute its visible words and armed
+        membership, and let the next probe the stale summary fails to
+        reject rebuild it."""
         w = r = 0
         frames = ctx.frames
         # visibility is per transaction (see _holds)
@@ -1179,12 +1186,16 @@ class Simulator:
                 r |= frame.read_sig._word
         ctx.vis_w = w
         ctx.vis_r = r
+        if w | r:
+            self._armed.add(ctx)
+        else:
+            self._armed.discard(ctx)
         self._vis_dirty = True
 
     def _summary_covers(self, mask: int, is_write: bool) -> bool:
         """Rebuild the dirty summary; does it still cover ``mask``?"""
         w = r = 0
-        for ctx in self._ctxs:
+        for ctx in self._armed:
             w |= ctx.vis_w
             r |= ctx.vis_r
         self._vis_w = w
@@ -1203,29 +1214,38 @@ class Simulator:
         ``hidden`` picks the kind of holder :meth:`_holds` accepts:
         visible ones, which accesses and lazy commits wait for, or hidden
         ones, which a lazy committer dooms."""
-        # A visible thread's OR-ed words (DESIGN §11) cover a mask only
-        # if one of its frames' words may, so they reject a one-line
-        # probe (an access) cheaply; a hidden thread's words are empty,
-        # and a lazy commit's many-line probe (rare) tests frames only.
-        probe = masks[0] if len(masks) == 1 and not hidden else 0
-        for core in self.cores:
-            ctx = core.ctx
-            if (ctx is not None and ctx is not my_ctx
+        # A visible holder has non-zero visible words (DESIGN §11), so
+        # only the armed set can hold one, and its OR-ed words cover a
+        # mask only if one of its frames' words may: they reject a
+        # one-line probe (an access) cheaply.  A hidden holder's words
+        # are empty, so a hidden scan walks every thread, and a lazy
+        # commit's many-line probe (rare) tests frames only.
+        if hidden:
+            candidates, probe = self._ctxs, 0
+        else:
+            candidates = self._armed
+            probe = masks[0] if len(masks) == 1 else 0
+        cores = self.cores
+        n_cores = len(cores)
+        # (scan order, core index or None, ctx): mounted threads sort by
+        # core index, suspended ones after them by tid, their _ctxs index
+        found = []
+        for ctx in candidates:
+            if (ctx is not my_ctx
                     and (ctx.vis_w & probe == probe
-                         or (is_write and ctx.vis_r & probe == probe))
-                    and self._holds(ctx, masks, is_write, hidden)):
-                yield core.idx, ctx
-        if self._multiplex:
-            # suspended transactions' signatures stay armed (the summary
-            # signature of Section IV-C)
-            cores = self.cores
-            for ctx in self._ctxs:
-                if (ctx is not my_ctx
-                        and (ctx.vis_w & probe == probe
-                             or (is_write and ctx.vis_r & probe == probe))
-                        and cores[ctx.last_core].ctx is not ctx  # not mounted
-                        and self._holds(ctx, masks, is_write, hidden)):
-                    yield None, ctx
+                         or (is_write and ctx.vis_r & probe == probe))):
+                idx = ctx.last_core
+                if cores[idx].ctx is ctx:  # mounted
+                    found.append((idx, idx, ctx))
+                elif self._multiplex:
+                    # suspended transactions' signatures stay armed (the
+                    # summary signature of Section IV-C)
+                    found.append((n_cores + ctx.tid, None, ctx))
+        if len(found) > 1:
+            found.sort(key=itemgetter(0))
+        for _, idx, ctx in found:
+            if self._holds(ctx, masks, is_write, hidden):
+                yield idx, ctx
 
     @staticmethod
     def _holds(

@@ -31,6 +31,9 @@ def make_kmeans(
     """Build the kmeans program (paper: -m40 -n40, random-n2048-d16-c16)."""
     rng = np.random.default_rng(seed)
     points = rng.integers(0, 1000, size=(n_points, n_dims)).astype(np.int64)
+    # the same inputs as Python ints: the threads read them on every
+    # distance term, where numpy scalar indexing costs several times more
+    rows = points.tolist()
 
     space = AddressSpace()
     centers = space.alloc("centers", n_clusters * n_dims)
@@ -69,7 +72,7 @@ def make_kmeans(
                 # initialize centres to the first k points
                 for c in range(n_clusters):
                     for d in range(n_dims):
-                        yield Write(center_addr(c, d), int(points[c, d]))
+                        yield Write(center_addr(c, d), rows[c][d])
             yield Barrier(0)
 
             for it in range(n_iterations):
@@ -81,7 +84,7 @@ def make_kmeans(
                         d2 = 0
                         for d in range(n_dims):
                             cv = yield Read(center_addr(c, d))
-                            diff = int(points[p, d]) - cv
+                            diff = rows[p][d] - cv
                             d2 += diff * diff
                         yield Work(work_distance)
                         if best_d2 is None or d2 < best_d2:
@@ -92,7 +95,7 @@ def make_kmeans(
                         yield Write(space.word(counts, c, padded=True), cnt + 1)
                         for d in range(n_dims):
                             s = yield Read(sum_addr(c, d))
-                            yield Write(sum_addr(c, d), s + int(points[p, d]))
+                            yield Write(sum_addr(c, d), s + rows[p][d])
                     yield Tx(fold, site=10 + it)
 
                 yield Barrier(1000 + 2 * it)

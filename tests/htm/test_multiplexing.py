@@ -134,3 +134,66 @@ def test_context_switch_cost_charged():
     assert res.context_switches >= 2
     # switches show up as NoTrans overhead beyond the pure work
     assert res.breakdown.cycles["NoTrans"] >= 2 * 10 * 300 + 77
+
+
+def _every_thread_walk(sim, my_ctx, masks, is_write, hidden=False):
+    """The reference conflict scan: every mounted core by index, then
+    (under multiplexing) every suspended thread in ``_ctxs`` order, each
+    tested by the per-holder rule alone."""
+    for core in sim.cores:
+        ctx = core.ctx
+        if (ctx is not None and ctx is not my_ctx
+                and sim._holds(ctx, masks, is_write, hidden)):
+            yield core.idx, ctx
+    if sim._multiplex:
+        for ctx in sim._ctxs:
+            if (ctx is not my_ctx
+                    and sim.cores[ctx.last_core].ctx is not ctx
+                    and sim._holds(ctx, masks, is_write, hidden)):
+                yield None, ctx
+
+
+@pytest.mark.parametrize("scheme,cores,threads,overrides", [
+    # 32 threads on 8 cores: the scan walks suspended threads
+    ("suv", 8, 32, {}),
+    # the short-slice shape: transactions are suspended mid-flight and
+    # hold conflicts while unmounted; lazy frames hide until publishing
+    ("dyntm+suv", 4, 16, {"htm.time_slice": 300, "htm.tx_slice_grace": 1}),
+    # lazy conflict detection: a committer dooms hidden holders
+    ("redirect+lazy+stall", 8, 32, {}),
+], ids=["genome32on8", "short-slice", "lazy-cd"])
+def test_armed_scan_yields_what_a_walk_of_every_thread_yields(
+    monkeypatch, scheme, cores, threads, overrides,
+):
+    """``_holders`` walks only the armed set for visible holders; every
+    probe must yield the same holders, in the same order, as a walk of
+    every thread, and the armed set must be exactly the threads with
+    non-zero visible words."""
+    from repro.runner import ExperimentSpec, execute_spec
+
+    scan = Simulator._holders
+    seen = {"probes": 0, "suspended": 0, "hidden": 0}
+
+    def checked(sim, my_ctx, masks, is_write, hidden=False):
+        assert sim._armed == {
+            ctx for ctx in sim._ctxs if ctx.vis_w | ctx.vis_r
+        }
+        got = list(scan(sim, my_ctx, masks, is_write, hidden))
+        assert got == list(
+            _every_thread_walk(sim, my_ctx, masks, is_write, hidden)
+        )
+        seen["probes"] += 1
+        seen["suspended"] += sum(holder is None for holder, _ in got)
+        seen["hidden"] += len(got) if hidden else 0
+        return iter(got)
+
+    monkeypatch.setattr(Simulator, "_holders", checked)
+    spec = ExperimentSpec("genome", scheme=scheme, scale="tiny", seed=3,
+                          cores=cores, threads=threads, check=True,
+                          config_overrides=overrides)
+    execute_spec(spec)
+    assert seen["probes"] > 400
+    if overrides:
+        assert seen["suspended"] and seen["hidden"]
+    if scheme.endswith("+lazy+stall"):
+        assert seen["hidden"]

@@ -207,6 +207,13 @@ def _ref_remove(sig, once, indexes):
     return sig, once
 
 
+def _colliding_values(fam, n=6):
+    """The first ``n`` values two of whose hash indexes coincide."""
+    return list(itertools.islice(
+        (v for v in itertools.count() if len(set(fam.indexes(v))) < fam.k), n
+    ))
+
+
 @pytest.mark.parametrize("bits,hashes", [(16, 2), (64, 3), (2048, 2)])
 def test_summary_words_match_the_per_index_loop(bits, hashes):
     # add, remove and rebuild through the filter, against the Figure 5
@@ -216,10 +223,7 @@ def test_summary_words_match_the_per_index_loop(bits, hashes):
     f.rebuild_threshold = 5
     fam = f._sig._hash
     rng = random.Random(bits * hashes)
-    colliding = list(itertools.islice(
-        (v for v in itertools.count() if len(set(fam.indexes(v))) < hashes), 6
-    ))
-    pool = colliding + rng.sample(range(1 << 30), 30)
+    pool = _colliding_values(fam) + rng.sample(range(1 << 30), 30)
     sig = once = 0
     for _ in range(600):
         roll = rng.random()
@@ -239,6 +243,35 @@ def test_summary_words_match_the_per_index_loop(bits, hashes):
                     sig, once = _ref_add(sig, once, fam.indexes(line))
         assert (f._sig._sig, f._sig._once) == (sig, once)
     assert f.rebuilds
+
+
+@pytest.mark.parametrize("bits,hashes", [(16, 2), (64, 3), (2048, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rebuild_is_clear_then_add_each(bits, hashes, data):
+    # one-pass rebuild against clear() plus one add() per value, from a
+    # filter that already holds adds and removes; the values repeat and
+    # include lines whose own hash indexes coincide
+    fam = H3HashFamily.shared(hashes, bits, 0x5BB)
+    values = st.lists(
+        st.sampled_from(_colliding_values(fam)) | st.integers(0, 1 << 20),
+        max_size=24,
+    )
+    history, removed, live = (data.draw(values) for _ in range(3))
+    one_pass = CountingSummarySignature(bits, hashes)
+    per_value = CountingSummarySignature(bits, hashes)
+    for s in (one_pass, per_value):
+        for v in history:
+            s.add(v)
+        for v in removed:
+            s.remove(v)
+    one_pass.rebuild(live)
+    per_value.clear()
+    for v in live:
+        per_value.add(v)
+    assert (one_pass._sig, one_pass._once, one_pass.adds) == (
+        per_value._sig, per_value._once, per_value.adds
+    )
 
 
 def test_union_with_no_new_bits_does_not_inflate_count():
