@@ -191,11 +191,6 @@ class SimConfig:
         return replace(self, **kwargs)
 
 
-def line_of(addr: int) -> int:
-    """Cache-line index of a byte address."""
-    return addr >> LINE_SHIFT
-
-
 def default_config() -> SimConfig:
     """The Table III configuration."""
     return SimConfig()

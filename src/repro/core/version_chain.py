@@ -29,8 +29,6 @@ released so the owner can free them.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 class VersionRecord:
     """One committed pre-image record of one line."""
@@ -212,9 +210,6 @@ class VersionChain:
 
     def floor_of(self, line: int) -> int:
         return self._floor.get(line, 0)
-
-    def iter_lines(self) -> Iterator[int]:
-        return iter(self._chains)
 
     def stats(self) -> dict[str, int]:
         return {

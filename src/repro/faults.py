@@ -350,15 +350,11 @@ class FaultInjector:
 
     # -- component discovery --------------------------------------------
     def _find(self, attr: str) -> Iterable[Any]:
-        """Instances of ``attr`` across the scheme and its carriers: a
-        bare carrier VM holds them itself, the adaptive wrapper in its
+        """Instances of ``attr`` across the scheme's carriers: a bare
+        carrier VM holds them itself, the adaptive scheme in its
         ``eager`` and ``lazy`` carriers."""
         seen: list[Any] = []
-        scheme = self._sim.scheme
-        for vm in (scheme, getattr(scheme, "eager", None),
-                   getattr(scheme, "lazy", None)):
-            if vm is None:
-                continue
+        for vm in self._sim.scheme.carriers:
             obj = getattr(vm, attr, None)
             if obj is not None and all(obj is not s for s in seen):
                 seen.append(obj)

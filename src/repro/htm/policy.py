@@ -37,7 +37,7 @@ committer admitted, two whose write sets overlap would publish
 unordered.
 
 Every class here is a small, fully-typed policy object; the
-:class:`~repro.htm.vm.composed.AdaptiveVM` wrapper and the simulator
+:class:`~repro.htm.vm.composed.AdaptiveVM` and the simulator
 consume them without ``Any`` at the seams.  Legality of a combination
 is a physical property, not a table accident —
 :meth:`SchemeComposition.check` rejects impossible crossings with a
@@ -281,14 +281,8 @@ class StallResolution(ConflictResolution):
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
-        cycle = sim._wait_cycle(core.idx, holder_idx)
-        if cycle:
-            victim_idx = sim._youngest(cycle)
-            if victim_idx == core.idx:
-                core.doomed_depth = 0
-                sim._begin_abort(core)
-                return
-            sim._doom(victim_idx, 0)
+        if sim._break_wait_cycle(core, holder_idx):
+            return
         # dooming a stalled member unstalls it: no cycle is left open
         sim._stall_on(core, holder_idx, op, cycle_checked=True)
 
@@ -344,11 +338,6 @@ class TimestampResolution(ConflictResolution):
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
         holder = sim.cores[holder_idx]
-        if holder.ctx is None or not holder.frames:
-            # the holder finished in the meantime: retry immediately
-            core.pending_op = op
-            sim._resume_retry(core, 0)
-            return
         mine = (core.frames[0].timestamp, core.ctx.tid)
         theirs = (holder.frames[0].timestamp, holder.ctx.tid)
         if mine < theirs:
@@ -408,21 +397,9 @@ class PoliteResolution(_EpisodeTracking, ConflictResolution):
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
-        holder = sim.cores[holder_idx]
-        if holder.ctx is None or not holder.frames:
+        if sim._break_wait_cycle(core, holder_idx):
             self._forget(core)
-            core.pending_op = op
-            sim._resume_retry(core, 0)
             return
-        cycle = sim._wait_cycle(core.idx, holder_idx)
-        if cycle:
-            victim_idx = sim._youngest(cycle)
-            if victim_idx == core.idx:
-                self._forget(core)
-                core.doomed_depth = 0
-                sim._begin_abort(core)
-                return
-            sim._doom(victim_idx, 0)
         tries = self._tries(core, holder_idx, op)
         if tries > self.patience:
             # patience exhausted: the holder yields (and its abort
@@ -456,10 +433,6 @@ class GreedyResolution(ConflictResolution):
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
         holder = sim.cores[holder_idx]
-        if holder.ctx is None or not holder.frames:
-            core.pending_op = op
-            sim._resume_retry(core, 0)
-            return
         mine = (core.frames[0].timestamp, core.ctx.tid)
         theirs = (holder.frames[0].timestamp, holder.ctx.tid)
         # "stalled" = the holder is itself waiting on a third party
@@ -523,21 +496,10 @@ class KarmaResolution(_EpisodeTracking, ConflictResolution):
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
-        holder = sim.cores[holder_idx]
-        if holder.ctx is None or not holder.frames:
+        if sim._break_wait_cycle(core, holder_idx):
             self._forget(core)
-            core.pending_op = op
-            sim._resume_retry(core, 0)
             return
-        cycle = sim._wait_cycle(core.idx, holder_idx)
-        if cycle:
-            victim_idx = sim._youngest(cycle)
-            if victim_idx == core.idx:
-                self._forget(core)
-                core.doomed_depth = 0
-                sim._begin_abort(core)
-                return
-            sim._doom(victim_idx, 0)
+        holder = sim.cores[holder_idx]
         mine = self._karma(core.idx, core.ctx.tid, core.frames)
         theirs = self._karma(holder.idx, holder.ctx.tid, holder.frames)
         tries = self._tries(core, holder_idx, op)

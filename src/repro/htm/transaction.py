@@ -10,10 +10,13 @@ checkpoint (= body factory).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.config import SignatureConfig
 from repro.signatures.bloom import BloomSignature
+
+if TYPE_CHECKING:
+    from repro.htm.vm.base import VersionManager
 
 
 @dataclass
@@ -36,6 +39,12 @@ class TxFrame:
     #: execution mode for this frame: "eager", "lazy" (DynTM / lazy-CD
     #: schemes), or "snapshot" (mvsuv wait-free reader).
     mode: str = "eager"
+    #: what the outermost attempt's mode fixes (nested frames inherit
+    #: both): the version manager whose hooks serve the frame, and
+    #: whether its signatures join the conflict scan — eager frames
+    #: always, lazy ones once they start publishing, snapshot ones never
+    carrier: "VersionManager | None" = None
+    visible: bool = True
     #: the Tx op declared this transaction read-only (survives retries).
     read_only: bool = False
     #: enclosing frame (closed nesting), None for the outermost.
@@ -70,7 +79,6 @@ class TxFrame:
         timestamp: int,
         now: int,
         sig_config: SignatureConfig,
-        mode: str = "eager",
     ) -> "TxFrame":
         return cls(
             site=site,
@@ -82,7 +90,6 @@ class TxFrame:
                                     sig_config.seed),
             write_sig=BloomSignature(sig_config.bits, sig_config.hashes,
                                      sig_config.seed),
-            mode=mode,
         )
 
     # ------------------------------------------------------------------

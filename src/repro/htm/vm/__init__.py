@@ -14,7 +14,8 @@
 * :class:`~repro.htm.vm.composed.AdaptiveVM` — adaptive conflict
   detection: DynTM's history-based eager/lazy mode selector over an
   eager carrier and a LazyVM (FasTM = original DynTM, SUV = the paper's
-  DynTM+SUV).
+  DynTM+SUV); each attempt's frame is served by the carrier of its
+  mode (:meth:`~repro.htm.vm.base.VersionManager.carrier_for`).
 
 Every scheme name — a named scheme (``"suv"``, see
 :data:`~repro.htm.policy.NAMED_SCHEMES`) or a composed three-axis name

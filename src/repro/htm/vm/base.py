@@ -15,7 +15,6 @@ many data movements realize it.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.config import SimConfig
@@ -63,8 +62,14 @@ class VMStats:
         return out
 
 
-class VersionManager(ABC):
-    """Scheme hook interface; one instance serves every core."""
+class VersionManager:
+    """Scheme hook interface; one instance serves every core.
+
+    A carrier implements the per-frame hooks (``pre_read``,
+    ``pre_write``, ``commit``, ``abort`` at least).  The simulator sends
+    them to the frame's carrier, which :meth:`carrier_for` picks per
+    attempt: the scheme itself, except under adaptive detection.
+    """
 
     name: str = "abstract"
     #: policy-axis values (see :mod:`repro.htm.policy`): which
@@ -74,6 +79,14 @@ class VersionManager(ABC):
     #: and ``buffer+lazy``).
     vm_axis: str = "custom"
     cd_axis: str = "eager"
+    #: transactional stores pin their lines in the L1 (speculative bit)
+    speculative_marking: bool = False
+    #: transactional stores stay core-local until commit (lazy buffering)
+    local_writes: bool = False
+    #: the global line-version clock for commit-time read-set validation,
+    #: on the carriers that validate; the simulator bumps it per
+    #: committed written line
+    line_versions: dict[int, int] | None = None
 
     def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy) -> None:
         self.config = config
@@ -100,13 +113,13 @@ class VersionManager(ABC):
         """Extra cycles at transaction begin (outermost or nested)."""
         return 0
 
-    @abstractmethod
     def pre_read(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
         """(extra cycles, physical line) for a transactional load."""
+        raise NotImplementedError
 
-    @abstractmethod
     def pre_write(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
         """(extra cycles, physical line) for a transactional store."""
+        raise NotImplementedError
 
     def post_write(
         self, core: int, frame: TxFrame, line: int, result: AccessResult
@@ -130,13 +143,13 @@ class VersionManager(ABC):
         written.add(self._physical_of(core, frame, line))
         return 0
 
-    @abstractmethod
     def commit(self, core: int, frame: TxFrame, outermost: bool) -> int:
         """Cycles of commit processing (isolation stays held meanwhile)."""
+        raise NotImplementedError
 
-    @abstractmethod
     def abort(self, core: int, frame: TxFrame, outermost: bool) -> int:
         """Cycles of abort processing (isolation stays held meanwhile)."""
+        raise NotImplementedError
 
     # -- non-transactional path -----------------------------------------
     def nontx_translate(self, core: int, line: int) -> tuple[int, int]:
@@ -151,16 +164,24 @@ class VersionManager(ABC):
         """Physical line a store to ``line`` lands on (identity default)."""
         return line
 
-    def wants_speculative_marking(self) -> bool:
-        """Should transactional stores pin their lines in the L1?"""
-        return False
-
     def mode_for(self, core: int, site: int) -> str:
         """Execution mode for a new outermost transaction.
 
         Fixed by the cd axis; adaptive detection overrides it.
         """
         return "lazy" if self.cd_axis == "lazy" else "eager"
+
+    def carrier_for(self, mode: str) -> "VersionManager":
+        """The carrier that serves an attempt run in ``mode``: the
+        simulator sends every per-frame hook of the attempt to it."""
+        return self
+
+    @property
+    def carriers(self) -> tuple["VersionManager", ...]:
+        """Every carrier :meth:`carrier_for` can return.  (A property: an
+        attribute holding ``self`` would be a reference cycle, keeping
+        the scheme and its memory hierarchy alive until a cyclic GC.)"""
+        return (self,)
 
     def note_outcome(self, core: int, frame: TxFrame, committed: bool) -> None:
         """Feedback to history-based predictors (adaptive detection)."""
@@ -171,10 +192,6 @@ class VersionManager(ABC):
     def validate(self, core: int, frame: TxFrame) -> bool:
         """Commit-time validation (lazy schemes); False forces an abort."""
         return True
-
-    def uses_local_writes(self) -> bool:
-        """Do transactional stores stay core-local until commit (lazy)?"""
-        return False
 
     # -- log plumbing shared by LogTM-SE and FasTM -----------------------
     def _log_append(self, core: int) -> int:

@@ -31,7 +31,7 @@ from repro.htm.vm.lazy import LazyVM
 from repro.htm.vm.logtm_se import LogTMSE
 from repro.htm.vm.mvsuv import MVSUV
 from repro.htm.vm.suv import SUV
-from repro.mem.hierarchy import AccessResult, MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import PUBLISH, Tracer
 
 
@@ -66,11 +66,6 @@ class RedirectLazyVM(SUV):
         #: commit-time read-set validation (same protocol as LazyVM)
         self.line_versions: dict[int, int] = {}
         self.stats.extra.update(validation_failures=0, published_lines=0)
-
-    def uses_local_writes(self) -> bool:
-        # writes land on private pool lines through the ordinary
-        # hierarchy path; no core-local buffering needed
-        return False
 
     # ------------------------------------------------------------------
     def pre_read(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
@@ -171,11 +166,12 @@ _EAGER_CARRIERS: dict[str, type[VersionManager]] = {
 class AdaptiveVM(VersionManager):
     """Adaptive conflict detection: DynTM's per-site eager/lazy switch.
 
-    Wraps an eager carrier (chosen by the vm axis) and a
+    Holds an eager carrier (chosen by the vm axis) and a
     :class:`~repro.htm.vm.lazy.LazyVM` (publishing by redirect when the
     vm axis is ``redirect``), and lets :class:`~repro.htm.policy.
-    AdaptiveCD` pick each outermost attempt's mode.  ``dyntm`` is
-    ``flash+adaptive`` (the original DynTM, Figure 9 D) and
+    AdaptiveCD` pick each outermost attempt's mode; the simulator sends
+    the attempt's frame hooks to :meth:`carrier_for` that mode.
+    ``dyntm`` is ``flash+adaptive`` (the original DynTM, Figure 9 D) and
     ``dyntm+suv`` is ``redirect+adaptive`` (Figure 9 D+S), which also
     cheapens the lazy commit: publication is an invalidation round trip
     instead of a per-line data merge.
@@ -216,48 +212,16 @@ class AdaptiveVM(VersionManager):
     def note_outcome(self, core: int, frame: TxFrame, committed: bool) -> None:
         self._cd.note_outcome(frame, committed)
 
-    # -- delegation (the vm axis) ---------------------------------------
-    def _vm(self, frame: TxFrame) -> VersionManager:
-        return self.lazy if frame.mode == "lazy" else self.eager
+    # -- carriers (the vm axis) ----------------------------------------
+    def carrier_for(self, mode: str) -> VersionManager:
+        return self.lazy if mode == "lazy" else self.eager
 
-    def on_begin(self, core: int, frame: TxFrame) -> int:
-        return self._vm(frame).on_begin(core, frame)
-
-    def pre_read(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
-        return self._vm(frame).pre_read(core, frame, line)
-
-    def pre_write(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
-        return self._vm(frame).pre_write(core, frame, line)
-
-    def post_write(
-        self, core: int, frame: TxFrame, line: int, result: AccessResult
-    ) -> int:
-        return self._vm(frame).post_write(core, frame, line, result)
-
-    def commit(self, core: int, frame: TxFrame, outermost: bool) -> int:
-        return self._vm(frame).commit(core, frame, outermost)
-
-    def abort(self, core: int, frame: TxFrame, outermost: bool) -> int:
-        return self._vm(frame).abort(core, frame, outermost)
-
-    def validate(self, core: int, frame: TxFrame) -> bool:
-        return self._vm(frame).validate(core, frame)
-
-    def merge_nested(self, parent: TxFrame, child: TxFrame) -> None:
-        self._vm(parent).merge_nested(parent, child)
+    @property
+    def carriers(self) -> tuple[VersionManager, ...]:
+        return (self.eager, self.lazy)
 
     def nontx_translate(self, core: int, line: int) -> tuple[int, int]:
         return self.eager.nontx_translate(core, line)
-
-    # -- per-frame placement decisions ----------------------------------
-    def wants_speculative_marking(self) -> bool:
-        return self.eager.wants_speculative_marking()
-
-    def speculative_for(self, frame: TxFrame) -> bool:
-        return self._vm(frame).wants_speculative_marking()
-
-    def local_writes_for(self, frame: TxFrame) -> bool:
-        return self._vm(frame).uses_local_writes()
 
     def scheme_stats(self) -> dict[str, float]:
         out = super().scheme_stats()
@@ -277,7 +241,7 @@ def build_version_manager(
     Eager detection builds the vm axis's carrier, lazy detection
     :class:`RedirectLazyVM` or :class:`~repro.htm.vm.lazy.LazyVM`
     (whose ``cd_axis`` then makes every frame lazy), adaptive detection
-    the :class:`AdaptiveVM` wrapper.
+    an :class:`AdaptiveVM` over one of each.
     """
     vm, cd = composition.vm, composition.cd
     if cd == "adaptive":

@@ -27,6 +27,7 @@ class FasTM(VersionManager):
     name = "fastm"
     vm_axis = "flash"
     cd_axis = "eager"
+    speculative_marking = True
 
     #: cycles of the flash commit (clear speculative bits)
     COMMIT_CYCLES = 6
@@ -37,9 +38,6 @@ class FasTM(VersionManager):
         super().__init__(config, hierarchy)
         self.stats.extra["writeback_flushes"] = 0
         self.stats.extra["degenerated_aborts"] = 0
-
-    def wants_speculative_marking(self) -> bool:
-        return True
 
     def pre_read(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:
         return 0, line

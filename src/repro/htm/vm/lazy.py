@@ -32,6 +32,8 @@ class LazyVM(VersionManager):
     name = "lazy"
     vm_axis = "buffer"
     cd_axis = "eager"
+    speculative_marking = True
+    local_writes = True
 
     FAST_ABORT_CYCLES = 14
 
@@ -46,17 +48,11 @@ class LazyVM(VersionManager):
         #: invalidation only, without data movement.
         self.publish_by_redirect = publish_by_redirect
         #: global line-version clock, shared with the simulator (and the
-        #: adaptive wrapper) for commit-time read-set validation.
+        #: adaptive scheme) for commit-time read-set validation.
         self.line_versions: dict[int, int] = {}
         self.stats.extra.update(
             validation_failures=0, lazy_overflows=0, published_lines=0
         )
-
-    def wants_speculative_marking(self) -> bool:
-        return True
-
-    def uses_local_writes(self) -> bool:
-        return True
 
     # ------------------------------------------------------------------
     def pre_read(self, core: int, frame: TxFrame, line: int) -> tuple[int, int]:

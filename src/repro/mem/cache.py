@@ -85,10 +85,6 @@ class SetAssocCache:
         self.misses = 0
         self.evictions = 0
 
-    def set_index(self, line: int) -> int:
-        mask = self._set_mask
-        return line & mask if mask >= 0 else line % self.n_sets
-
     def _set_of(self, line: int) -> dict[int, CacheLine]:
         mask = self._set_mask
         idx = line & mask if mask >= 0 else line % self.n_sets

@@ -307,9 +307,3 @@ class MemoryHierarchy:
             for ln in lines:
                 self.directory.drop(ln, core)
         return lines
-
-    def mark_speculative(self, core: int, line: int) -> None:
-        l1 = self.l1s[core]
-        entry = l1.peek(line)
-        if entry is not None and not entry.speculative:
-            l1._note_speculative(entry)

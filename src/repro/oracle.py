@@ -262,11 +262,7 @@ class OracleRecorder:
     # -- scheme quiescence -----------------------------------------------
     def _check_scheme_quiescence(self, failures: list[str]) -> None:
         """No transient redirect entries, no leaked/dangling pool lines."""
-        scheme = self._sim.scheme
-        for vm in (scheme, getattr(scheme, "eager", None),
-                   getattr(scheme, "lazy", None)):
-            if vm is None:
-                continue
+        for vm in self._sim.scheme.carriers:
             table = getattr(vm, "table", None)
             pool = getattr(vm, "pool", None)
             if table is None or pool is None:

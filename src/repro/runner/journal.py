@@ -300,13 +300,6 @@ class CampaignJournal:
             _fold(state, record)
         return state
 
-    @classmethod
-    def open_resumable(
-        cls, path: str | Path, *, fsync: bool = True
-    ) -> "CampaignJournal":
-        """A journal at ``path``, whether or not the file exists yet."""
-        return cls(path, fsync=fsync)
-
 
 def _fold(state: JournalState, record: Mapping[str, Any]) -> None:
     event = record.get("event")

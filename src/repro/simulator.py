@@ -305,12 +305,6 @@ class Simulator:
         #: probed line from it instead of re-hashing per signature
         sig = self.config.signature
         self._sig_family = H3HashFamily.shared(sig.hashes, sig.bits, sig.seed)
-        #: per-frame scheme hooks resolved once — probing them with
-        #: getattr() on every access is measurable on the hot path
-        self._spec_for_frame = getattr(self.scheme, "speculative_for", None)
-        self._local_for_frame = getattr(self.scheme, "local_writes_for", None)
-        self._spec_const = self.scheme.wants_speculative_marking()
-        self._local_const = self.scheme.uses_local_writes()
         self._mask_of = self._sig_family.mask
         self._mask_memo = self._sig_family.mask_memo
         #: multiversion snapshot hooks (mvsuv); every one is None for
@@ -377,9 +371,7 @@ class Simulator:
         self._ready: deque[_ThreadCtx] = deque()
         self._barrier_arrived: dict[int, set[int]] = {}
         self._barrier_parked: dict[int, list[_ThreadCtx]] = {}
-        self._line_versions: dict[int, int] = getattr(
-            self.scheme, "line_versions", {}
-        )
+        self._line_versions = self.scheme.line_versions
         self.commits = 0
         self.aborts = 0
         self.tx_attempts = 0
@@ -655,31 +647,23 @@ class Simulator:
     # ------------------------------------------------------------------
     def _begin_tx(self, core: _Core, op: Tx) -> None:
         depth = len(core.frames)
-        declared_ro = getattr(op, "read_only", False)
-        if depth == 0:
-            mode = self.scheme.mode_for(core.idx, op.site)
-            if (self._snapshot_mode_for is not None
-                    and self._snapshot_mode_for(core.idx, op.site, declared_ro)):
-                mode = "snapshot"
-            timestamp = self.queue.now
-        else:
-            mode = core.frames[0].mode
-            timestamp = core.frames[0].timestamp
+        outer = core.frames[0] if depth else None
         frame = TxFrame.create(
             site=op.site,
             body_factory=op.body,
             depth=depth,
-            timestamp=timestamp,
+            timestamp=outer.timestamp if outer else self.queue.now,
             now=self.queue.now,
             sig_config=self.config.signature,
-            mode=mode,
         )
         frame.parent = core.frames[-1] if core.frames else None
-        frame.read_only = declared_ro
-        if depth == 0 and mode == "snapshot":
-            # capture the snapshot timestamp: the newest publication
-            # this reader is allowed to observe
-            frame.vm["snapshot_seq"] = self._current_seq()
+        frame.read_only = getattr(op, "read_only", False)
+        if outer is None:
+            self._select_mode(core, frame)
+        else:
+            frame.mode = outer.mode
+            frame.carrier = outer.carrier
+            frame.visible = outer.visible
         if isinstance(op, OpenTx):
             if depth == 0:
                 raise TransactionError(
@@ -688,7 +672,7 @@ class Simulator:
                     cycle=self.queue.now, core=core.idx,
                     tid=core.ctx.tid, site=op.site,
                 )
-            if mode == "lazy":
+            if frame.mode == "lazy":
                 raise TransactionError(
                     "open nesting is not supported in lazy execution mode",
                     cycle=self.queue.now, core=core.idx,
@@ -702,11 +686,26 @@ class Simulator:
         if depth == 0 and self.trace.events is not None:
             self.trace.emit(
                 self.queue.now, TX_BEGIN, core.idx, core.ctx.tid,
-                {"site": op.site, "attempt": frame.attempt, "mode": mode},
+                {"site": op.site, "attempt": frame.attempt, "mode": frame.mode},
             )
-        cost = self.config.htm.checkpoint_cycles + self.scheme.on_begin(core.idx, frame)
+        cost = self.config.htm.checkpoint_cycles + frame.carrier.on_begin(core.idx, frame)
         frame.tentative_cycles += cost
         self._resume_after(core, cost)
+
+    def _select_mode(self, core: _Core, frame: TxFrame) -> None:
+        """Pick an outermost attempt's execution mode and fix what it
+        implies: the carrier that serves the attempt and its visibility.
+        DynTM may flip eager↔lazy between attempts; a snapshot attempt
+        (mvsuv) captures its snapshot timestamp here."""
+        mode = self.scheme.mode_for(core.idx, frame.site)
+        if (self._snapshot_mode_for is not None
+                and self._snapshot_mode_for(core.idx, frame.site, frame.read_only)):
+            mode = "snapshot"
+            # the newest publication this reader is allowed to observe
+            frame.vm["snapshot_seq"] = self._current_seq()
+        frame.mode = mode
+        frame.carrier = self.scheme.carrier_for(mode)
+        frame.visible = mode == "eager"
 
     def _on_generator_done(self, core: _Core, stop: StopIteration) -> None:
         if len(core.gen_stack) == 1:
@@ -741,7 +740,7 @@ class Simulator:
                     self._stall_on(core, arb_holder, ("commit", tx_value))
                     return
                 arb.acquire(core.idx)
-                if not self.scheme.validate(core.idx, frame):
+                if not frame.carrier.validate(core.idx, frame):
                     arb.release(core.idx)
                     core.doomed_depth = 0
                     self._begin_abort(core)
@@ -768,15 +767,15 @@ class Simulator:
                         holder_ctx.doomed_depth = 0
                     else:
                         self._doom(holder, 0)
-                frame.vm["publishing"] = True
+                frame.visible = True
                 self._publish_visible(core, frame)
-            elif not self.scheme.validate(core.idx, frame):
+            elif not frame.carrier.validate(core.idx, frame):
                 core.doomed_depth = 0
                 self._begin_abort(core)
                 return
         # an open-nested commit publishes like an outermost one
         publishes = outermost or frame.open_nested
-        latency = self.scheme.commit(core.idx, frame, publishes)
+        latency = frame.carrier.commit(core.idx, frame, publishes)
         if outermost:
             # commit processing happens with the signatures still armed:
             # these cycles are the tail of the isolation window
@@ -807,39 +806,21 @@ class Simulator:
                     {"site": frame.site, "attempt": frame.attempt,
                      "writes": len(frame.write_lines)},
                 )
-            # publish and release isolation
-            if self._note_publication is not None and frame.write_buffer:
-                # pre-image the overwritten words before they change
-                self._note_publication(core.idx, frame)
-            self.memory.bulk_store(frame.write_buffer)
-            if self.oracle is not None:
-                self.oracle.note_commit(core.idx, frame, open_nested=False)
-            for line in frame.write_lines:
-                self._line_versions[line] = self._line_versions.get(line, 0) + 1
             core.charge("Trans", frame.tentative_cycles)
-            self.commits += 1
             core.consecutive_aborts = 0
             frame.pending_compensations.clear()
             self.scheme.note_outcome(core.idx, frame, committed=True)
-            self._wake_waiters(core)
+            self._publish(core, frame)
         elif frame.open_nested:
             # open-nested commit (§IV-C): publish now, release isolation,
             # and register the compensating action with the parent
-            if self._note_publication is not None and frame.write_buffer:
-                self._note_publication(core.idx, frame)
-            self.memory.bulk_store(frame.write_buffer)
-            if self.oracle is not None:
-                self.oracle.note_commit(core.idx, frame, open_nested=True)
-            for line in frame.write_lines:
-                self._line_versions[line] = self._line_versions.get(line, 0) + 1
             parent = core.frames[-1]
             parent.tentative_cycles += frame.tentative_cycles
             if frame.compensate is not None:
                 parent.vm.setdefault("compensations", []).append(
                     frame.compensate
                 )
-            self.commits += 1
-            self._wake_waiters(core)
+            self._publish(core, frame)
         else:
             parent = core.frames[-1]
             parent.merge_child(frame)
@@ -848,10 +829,27 @@ class Simulator:
                 self._unpark_covered(
                     core.idx, parent.write_sig._word, parent.read_sig._word
                 )
-            self.scheme.merge_nested(parent, frame)
+            parent.carrier.merge_nested(parent, frame)
         core.status = RUNNING
         core.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
         self._resume_after(core, 0)
+
+    def _publish(self, core: _Core, frame: TxFrame) -> None:
+        """A publishing commit (outermost or open-nested) lands: its
+        writes reach memory, the version clock moves, and the isolation
+        it released wakes its waiters."""
+        if self._note_publication is not None and frame.write_buffer:
+            # pre-image the overwritten words before they change
+            self._note_publication(core.idx, frame)
+        self.memory.bulk_store(frame.write_buffer)
+        if self.oracle is not None:
+            self.oracle.note_commit(core.idx, frame, open_nested=frame.open_nested)
+        versions = self._line_versions
+        if versions is not None:
+            for line in frame.write_lines:
+                versions[line] = versions.get(line, 0) + 1
+        self.commits += 1
+        self._wake_waiters(core)
 
     def _begin_abort(self, core: _Core) -> None:
         depth = core.doomed_depth if core.doomed_depth is not None else 0
@@ -867,7 +865,7 @@ class Simulator:
         depth = min(depth, len(core.frames) - 1)
         latency = 0
         for frame in reversed(core.frames[depth:]):
-            latency += self.scheme.abort(
+            latency += frame.carrier.abort(
                 core.idx, frame, outermost=(frame.depth == depth)
             )
             core.charge("Wasted", frame.tentative_cycles)
@@ -922,15 +920,9 @@ class Simulator:
     def _retry_tx(self, core: _Core, depth: int) -> None:
         frame = core.frames[depth]
         if depth == 0:
-            # re-select the execution mode (DynTM may flip eager↔lazy);
-            # the timestamp is kept so older transactions keep priority
-            frame.mode = self.scheme.mode_for(core.idx, frame.site)
-            if (self._snapshot_mode_for is not None
-                    and self._snapshot_mode_for(
-                        core.idx, frame.site, frame.read_only)):
-                # the retry re-captures a fresh snapshot timestamp
-                frame.mode = "snapshot"
-                frame.vm["snapshot_seq"] = self._current_seq()
+            # re-select the execution mode; the timestamp is kept so
+            # older transactions keep priority
+            self._select_mode(core, frame)
             # the retry's isolation window opens now — backoff cycles
             # (signatures clear, nobody blocked) are not window time
             frame.start_time = self.queue.now
@@ -959,7 +951,7 @@ class Simulator:
             core.gen_stack.append(_compensating_body())
         else:
             core.gen_stack.append(frame.body_factory())
-        cost = self.config.htm.checkpoint_cycles + self.scheme.on_begin(core.idx, frame)
+        cost = self.config.htm.checkpoint_cycles + frame.carrier.on_begin(core.idx, frame)
         frame.tentative_cycles += cost
         core.status = RUNNING
         self._resume_after(core, cost)
@@ -975,11 +967,9 @@ class Simulator:
         # the line's one H3 lookup of this access: the scan probes it and
         # the frame's signature records it
         mask = self._mask_memo.get(line) or self._mask_of(line)
-        # the visibility rule of _holds, inlined (per-access hot path):
-        # a lazy frame that is not publishing yet and a snapshot frame
-        # (wait-free) neither scan nor arm their signatures
-        if (frames and frames[-1].mode != "eager"
-                and not frames[-1].vm.get("publishing")):
+        # a hidden frame (lazy and not publishing yet, or a wait-free
+        # snapshot) neither scans nor arms its signatures
+        if frames and not frames[-1].visible:
             self._perform_access(core, op, line, is_write, mask, False)
             return
         # the summary only ever rejects a scan: no frame's word covers
@@ -1026,33 +1016,26 @@ class Simulator:
     ) -> None:
         """Carry out an access that found no conflict.  ``mask`` is the
         line's H3 mask; ``visible`` says the frame's new bits arm."""
-        scheme = self.scheme
         ctx = core.ctx
         if ctx.frames:
             frame = ctx.frames[-1]
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
+            carrier = frame.carrier
             if is_write:
                 if frame.record_write(line, mask) and visible:
                     self._note_visible(core, ctx, mask, True, frame.write_sig._word)
-                extra, phys = scheme.pre_write(core.idx, frame, line)
-                # the per-frame speculative/local-write hooks are
-                # prebound, the constant fallbacks precomputed (hot path)
-                per = self._spec_for_frame
-                spec = per(frame) if per is not None else self._spec_const
+                extra, phys = carrier.pre_write(core.idx, frame, line)
+                spec = carrier.speculative_marking
                 if frame.vm.pop("allocate_write", False):
                     # fresh-line allocation (SUV pool): no fetch below
                     result = self.hierarchy.allocate_write(core.idx, phys, spec)
+                elif carrier.local_writes:
+                    result = self.hierarchy.local_write(core.idx, phys, spec)
                 else:
-                    local = self._local_for_frame
-                    if local(frame) if local is not None else self._local_const:
-                        result = self.hierarchy.local_write(core.idx, phys, spec)
-                    else:
-                        result = self.hierarchy.write(
-                            core.idx, phys, speculative=spec
-                        )
-                extra += scheme.post_write(core.idx, frame, line, result)
+                    result = self.hierarchy.write(core.idx, phys, speculative=spec)
+                extra += carrier.post_write(core.idx, frame, line, result)
                 frame.write_buffer[op.addr] = op.value
                 if self.oracle is not None:
                     self.oracle.record_tx_write(frame, op.addr, op.value)
@@ -1060,7 +1043,7 @@ class Simulator:
             else:
                 if frame.record_read(line, mask) and visible:
                     self._note_visible(core, ctx, mask, False, frame.read_sig._word)
-                extra, phys = scheme.pre_read(core.idx, frame, line)
+                extra, phys = carrier.pre_read(core.idx, frame, line)
                 result = self.hierarchy.read(core.idx, phys)
                 value = self._tx_read_value(core, op.addr)
                 if self.oracle is not None:
@@ -1075,7 +1058,7 @@ class Simulator:
                 return
             self.queue.schedule(latency, core.step_cb)
         else:
-            extra, phys = scheme.nontx_translate(core.idx, line)
+            extra, phys = self.scheme.nontx_translate(core.idx, line)
             if is_write:
                 result = self.hierarchy.write(core.idx, phys)
                 if self._note_nontx_write is not None:
@@ -1180,7 +1163,7 @@ class Simulator:
         w = r = 0
         frames = ctx.frames
         # visibility is per transaction (see _holds)
-        if frames and (frames[0].mode == "eager" or "publishing" in frames[0].vm):
+        if frames and frames[0].visible:
             for frame in frames:
                 w |= frame.write_sig._word
                 r |= frame.read_sig._word
@@ -1254,17 +1237,17 @@ class Simulator:
         """The eager/lazy coexistence rule (DESIGN §12) for one holder.
 
         Mode is per transaction and only a lone outermost frame
-        publishes, so visibility is decided per thread: an eager
-        transaction, or a lazy one that is publishing, is visible; a
-        lazy one that has not published yet is hidden; a snapshot one
-        never arms its signatures.  A holder of the asked-for kind
-        conflicts when a frame's signature covers a probed mask: a
-        write conflicts with the read or write signature, a read with
-        the write signature only."""
+        publishes, so visibility is decided per thread, by the outermost
+        frame's ``visible``: an eager transaction, or a lazy one that is
+        publishing, is visible; a lazy one that has not published yet is
+        hidden; a snapshot one never arms its signatures.  A holder of
+        the asked-for kind conflicts when a frame's signature covers a
+        probed mask: a write conflicts with the read or write signature,
+        a read with the write signature only."""
         frames = ctx.frames
         if not frames:
             return False
-        if (frames[0].mode == "eager" or "publishing" in frames[0].vm) is hidden:
+        if frames[0].visible is hidden:
             return False
         # each signature is tested on its own word: OR-ing the read and
         # write filters first would manufacture false positives
@@ -1297,6 +1280,21 @@ class Simulator:
         return max(
             candidates, key=lambda i: (self.cores[i].frames[0].timestamp, i)
         )
+
+    def _break_wait_cycle(self, core: _Core, holder_idx: int) -> bool:
+        """If waiting on ``holder_idx`` would close a wait-for cycle,
+        abort the youngest transaction on it; True when that is the
+        requester's own, which is now aborting."""
+        cycle = self._wait_cycle(core.idx, holder_idx)
+        if not cycle:
+            return False
+        victim_idx = self._youngest(cycle)
+        if victim_idx == core.idx:
+            core.doomed_depth = 0
+            self._begin_abort(core)
+            return True
+        self._doom(victim_idx, 0)
+        return False
 
     def _doom(self, victim_idx: int, depth: int) -> None:
         victim = self.cores[victim_idx]

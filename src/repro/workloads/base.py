@@ -51,10 +51,6 @@ class AddressSpace:
         """Address of element ``index`` in a region."""
         return base + index * (LINE_BYTES if padded else WORD)
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next - self.BASE
-
 
 def load(addr: int) -> Generator:
     """``value = yield from load(addr)`` inside a thread/tx body."""

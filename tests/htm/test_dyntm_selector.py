@@ -18,8 +18,8 @@ def make_dyntm(scheme="dyntm"):
 
 
 def frame_for(site, mode):
-    f = TxFrame.create(site, lambda: iter(()), 0, 0, 0,
-                       SimConfig().signature, mode=mode)
+    f = TxFrame.create(site, lambda: iter(()), 0, 0, 0, SimConfig().signature)
+    f.mode = mode
     return f
 
 

@@ -17,7 +17,11 @@ kernel became a single heap (DESIGN §11): kmeans's barrier releases
 schedule 16 zero-delay events in one cycle, whose delivery order the
 heap must keep.  The short-slice pins (``slice_pins``) were captured
 before the simulator's conflict scans became one function: they are
-the only pins that reach its suspended-holder branches.
+the only pins that reach its suspended-holder branches.  The carrier
+pins (``carrier_pins``) were captured before each frame took its
+version manager from its mode: they are the only pins that run the two
+lazy-detection carriers, ``redirect+lazy+stall`` (``RedirectLazyVM``)
+and ``buffer+lazy+stall`` (``LazyVM`` with every frame lazy).
 
 The isolation pins in ``tests/data/golden_isolation.json`` hold the
 raw numbers the digests hash away: simulated cycles, commits, aborts
@@ -137,6 +141,36 @@ def test_short_slice_multiplexed_results_are_bit_identical(
         },
     )
     assert _digest(spec) == GOLDEN["slice_pins"][key]
+
+
+#: (workload, scale, seed, cores) shapes of the carrier pins, each run
+#: under both lazy-detection carriers
+CARRIER_SHAPES = [("ssca2", "tiny", 3, 4), ("genome", "tiny", 3, 16)]
+CARRIER_SCHEMES = ["redirect+lazy+stall", "buffer+lazy+stall"]
+
+
+@pytest.mark.parametrize(
+    "workload,scale,seed,cores", CARRIER_SHAPES,
+    ids=[f"{p[0]}-{p[3]}" for p in CARRIER_SHAPES],
+)
+@pytest.mark.parametrize("scheme", CARRIER_SCHEMES)
+def test_lazy_detection_carrier_results_are_bit_identical(
+    workload, scale, seed, cores, scheme
+):
+    key = _key(workload, scheme, scale, seed, cores, 0)
+    spec = ExperimentSpec(
+        workload=workload, scheme=scheme, scale=scale, seed=seed, cores=cores,
+    )
+    assert _digest(spec) == GOLDEN["carrier_pins"][key]
+
+
+def test_every_carrier_pin_is_exercised():
+    exercised = {
+        _key(workload, scheme, scale, seed, cores, 0)
+        for workload, scale, seed, cores in CARRIER_SHAPES
+        for scheme in CARRIER_SCHEMES
+    }
+    assert exercised == set(GOLDEN["carrier_pins"])
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,9 @@
 """Unit tests for the VersionManager base plumbing."""
 
-import pytest
-
 from repro.config import SimConfig
 from repro.htm.transaction import TxFrame
 from repro.htm.vm import make_version_manager
-from repro.htm.vm.base import LOG_REGION_BASE, VMStats, VersionManager
+from repro.htm.vm.base import LOG_REGION_BASE, VMStats
 from repro.mem.hierarchy import MemoryHierarchy
 
 
@@ -69,7 +67,8 @@ def test_default_hooks_are_neutral():
     assert vm.nontx_translate(0, 12345)[1] == 12345 or True  # may redirect
     assert vm.validate(0, f) is True
     assert vm.mode_for(0, 1) == "eager"
-    assert vm.uses_local_writes() is False
+    assert vm.local_writes is False
+    assert vm.speculative_marking is False
 
 
 def test_post_write_counts_overflowed_written_lines():

@@ -149,7 +149,7 @@ def test_read_your_own_writes_not_flagged():
         aborts = 0
 
         class scheme:
-            pass
+            carriers = ()
 
     rec.attach(_FakeSim())
     rec.outer_commits = 1
