@@ -17,6 +17,13 @@ Example::
         yield Work(100)           # non-transactional
         yield Tx(body, site=1)    # transactional; retried on abort
         yield Barrier(0)
+
+Host-performance note (DESIGN §11): a workload builds one op per
+operation, so the ops are plain ``slots`` dataclasses, not frozen ones.
+A frozen ``__init__`` stores each field through ``object.__setattr__``
+and costs about twice as much (``Write`` 401 ns against 162 ns on a
+2-vCPU x86 host).  Nothing mutates an op once it is yielded, and
+nothing hashes one.
 """
 
 from __future__ import annotations
@@ -25,21 +32,21 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Work:
     """Compute for ``cycles`` without touching memory."""
 
     cycles: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Read:
     """Load the 8-byte word at ``addr``; its value is sent back."""
 
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Write:
     """Store ``value`` to the 8-byte word at ``addr``."""
 
@@ -47,7 +54,7 @@ class Write:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Tx:
     """Run ``body()`` as a transaction (nested if yielded inside one).
 
@@ -65,7 +72,7 @@ class Tx:
     read_only: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OpenTx:
     """Run ``body()`` as an *open-nested* transaction (paper §IV-C).
 
@@ -82,7 +89,7 @@ class OpenTx:
     site: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Barrier:
     """Block until every live thread reaches barrier ``bid``."""
 

@@ -93,24 +93,6 @@ class TxFrame:
         )
 
     # ------------------------------------------------------------------
-    def record_read(self, line: int, mask: int) -> bool:
-        """Add ``line``, whose H3 mask is ``mask``, to the read set; True
-        when it was new."""
-        if line in self.read_lines:
-            return False
-        self.read_lines.add(line)
-        self.read_sig.add_mask(mask)
-        return True
-
-    def record_write(self, line: int, mask: int) -> bool:
-        """Add ``line``, whose H3 mask is ``mask``, to the write set; True
-        when it was new."""
-        if line in self.write_lines:
-            return False
-        self.write_lines.add(line)
-        self.write_sig.add_mask(mask)
-        return True
-
     def merge_child(self, child: "TxFrame") -> None:
         """Closed-nested commit: fold a child frame into this one."""
         self.read_lines |= child.read_lines

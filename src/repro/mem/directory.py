@@ -31,24 +31,12 @@ class Directory:
         self.config = config
         self.n_cores = n_cores
         self._entries: dict[int, DirEntry] = {}
-        self.lookups = 0
 
     @property
     def latency(self) -> int:
         return self.config.latency
 
-    def entry(self, line: int) -> DirEntry:
-        self.lookups += 1
-        e = self._entries.get(line)
-        if e is None:
-            e = DirEntry()
-            self._entries[line] = e
-        return e
-
     def record_shared(self, line: int, core: int) -> None:
-        # entry() inlined here and in record_owner: these two sit on the
-        # per-access hot path (every L1-hit store re-records its owner)
-        self.lookups += 1
         e = self._entries.get(line)
         if e is None:
             e = self._entries[line] = DirEntry()
@@ -62,7 +50,6 @@ class Directory:
             e.sharers.add(core)
 
     def record_owner(self, line: int, core: int) -> None:
-        self.lookups += 1
         e = self._entries.get(line)
         if e is None:
             e = self._entries[line] = DirEntry()

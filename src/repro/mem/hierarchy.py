@@ -27,6 +27,7 @@ from repro.mem.cache import SetAssocCache
 _M = int(S.MODIFIED)
 _E = int(S.EXCLUSIVE)
 _S = int(S.SHARED)
+_I = int(S.INVALID)
 from repro.mem.directory import Directory
 from repro.mem.memory import MainMemory
 
@@ -134,10 +135,19 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def read(self, core: int, line: int) -> AccessResult:
         """Perform a load of ``line`` by ``core`` (GETS on miss)."""
+        # the hit path probes the L1 set inline (SetAssocCache.lookup's
+        # probe, counters and LRU touch, without its call)
         l1 = self.l1s[core]
-        entry = l1.lookup(line)
-        if entry is not None:
+        mask = l1._set_mask
+        cset = l1._sets[line & mask if mask >= 0 else line % l1.n_sets]
+        entry = cset.get(line) if cset is not None else None
+        if entry is not None and entry.state != _I:
+            l1.hits += 1
+            tick = l1._tick + 1
+            l1._tick = tick
+            entry.lru_tick = tick
             return self._hit
+        l1.misses += 1
 
         latency = self._l1_lat  # detect the miss
         latency += self._to_bank(core, line) + self._dir_lat
@@ -178,9 +188,17 @@ class MemoryHierarchy:
 
     def write(self, core: int, line: int, speculative: bool = False) -> AccessResult:
         """Perform a store to ``line`` by ``core`` (GETM on miss/upgrade)."""
+        # a hit in M or E probes the L1 set inline, as read() does;
+        # everything else takes lookup()
         l1 = self.l1s[core]
-        entry = l1.lookup(line)
+        mask = l1._set_mask
+        cset = l1._sets[line & mask if mask >= 0 else line % l1.n_sets]
+        entry = cset.get(line) if cset is not None else None
         if entry is not None and entry.state <= _E:  # MODIFIED or EXCLUSIVE
+            l1.hits += 1
+            tick = l1._tick + 1
+            l1._tick = tick
+            entry.lru_tick = tick
             entry.state = S.MODIFIED
             entry.dirty = True
             if speculative and not entry.speculative:
@@ -188,6 +206,7 @@ class MemoryHierarchy:
             self.directory.record_owner(line, core)
             return self._hit
 
+        entry = l1.lookup(line)
         if entry is not None and entry.state == _S:
             # upgrade: invalidate the other sharers through the directory
             latency = self._l1_lat

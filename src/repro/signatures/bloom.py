@@ -34,11 +34,9 @@ class BloomSignature:
         self._count = 0
 
     def add(self, value: int) -> None:
-        self.add_mask(self._hash.mask(value))
-
-    def add_mask(self, mask: int) -> None:
-        """``add`` for a value whose H3 mask the caller already holds."""
-        self._word |= mask
+        # the simulator's access path does the same two stores inline,
+        # with the mask it already holds
+        self._word |= self._hash.mask(value)
         self._count += 1
 
     def test(self, value: int) -> bool:

@@ -8,10 +8,15 @@ Host-performance notes (DESIGN §11): this queue is the innermost loop of
 the whole simulator, so it is one heap and one :meth:`EventQueue.run`
 loop:
 
-* :class:`Event` is a ``__slots__`` class and the heap is keyed by plain
-  ``(time, seq)`` tuples, so ``heapq`` compares tuples in C instead of
-  calling a generated dataclass ``__lt__``; the key lives only in the
-  queue entry, never on the event;
+* the heap is keyed by plain ``(time, seq)`` tuples, so ``heapq``
+  compares tuples in C; ``(time, seq)`` is unique, so a comparison
+  never reaches the payload;
+* **an event is a bare heap entry unless someone holds its handle**:
+  :meth:`EventQueue.schedule` pushes ``(time, seq, fn)`` and returns
+  nothing.  Only :meth:`EventQueue.arm` builds an :class:`Event` (a
+  ``__slots__`` handle that can be cancelled or parked) and pushes it as
+  the payload; ``run`` tells the two apart with one ``type`` test.  The
+  simulator arms only its stall polls;
 * **parked events re-arm in the kernel**: a periodic event whose
   callback would only schedule itself again one period later can be
   :meth:`Event.park`-ed.  When it reaches the front the queue re-keys
@@ -33,7 +38,6 @@ from typing import Callable
 from repro.errors import BudgetExhausted
 
 # Event lifecycle states (ints, not an enum: this is the hot path).
-# _PENDING is 0 so "not pending" is one truth test in the drain loop.
 _PENDING = 0
 _DONE = 1
 _CANCELLED = 2
@@ -41,12 +45,12 @@ _PARKED = 3
 
 
 class Event:
-    """A scheduled callback; its ``(time, seq)`` key lives in the queue."""
+    """The handle of an armed callback (see :meth:`EventQueue.arm`); its
+    ``(time, seq)`` key lives in the queue."""
 
     __slots__ = ("fn", "period", "_state", "_queue")
 
-    def __init__(self, fn: Callable[[], None],
-                 queue: "EventQueue | None" = None) -> None:
+    def __init__(self, fn: Callable[[], None], queue: "EventQueue") -> None:
         self.fn = fn
         self.period = 0
         self._state = _PENDING
@@ -65,8 +69,7 @@ class Event:
         if self._state != _PENDING and self._state != _PARKED:
             return
         self._state = _CANCELLED
-        if self._queue is not None:
-            self._queue._live -= 1
+        self._queue._live -= 1
 
     def park(self, period: int) -> None:
         """Re-arm this event every ``period`` cycles instead of firing it.
@@ -90,12 +93,13 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic priority queue of :class:`Event` objects."""
+    """Deterministic priority queue of callbacks."""
 
     def __init__(self) -> None:
-        #: (time, seq, event) triples — tuple ordering, no Event.__lt__;
-        #: (time, seq) is unique, so a comparison never reaches the Event
-        self._heap: list[tuple[int, int, Event]] = []
+        #: (time, seq, fn) triples, where fn is a bare callback or an
+        #: armed Event; (time, seq) is unique, so a comparison never
+        #: reaches fn
+        self._heap: list[tuple[int, int, Callable[[], None] | Event]] = []
         self._seq = 0
         self._live = 0
         self.now = 0
@@ -106,20 +110,33 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def schedule(self, delay: int, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run ``delay`` cycles from now."""
+    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` to run ``delay`` cycles from now.
+
+        The entry is a bare ``(time, seq, fn)`` triple: nothing can
+        cancel or park it.  Use :meth:`arm` for that.
+        """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
-        # Event.__init__ bypassed: schedule() runs once or twice per
-        # simulated event, and the constructor call frame is pure
-        # overhead for three slot stores (``period`` is only read once
-        # park() has set it)
-        ev = Event.__new__(Event)
-        ev.fn = fn
-        ev._state = _PENDING
-        ev._queue = self
+        heappush(self._heap, (self.now + int(delay), seq, fn))
+        live = self._live + 1
+        self._live = live
+        if live > self.peak_queue:
+            self.peak_queue = live
+
+    def arm(self, delay: int, fn: Callable[[], None]) -> Event:
+        """:meth:`schedule`, returning a handle that can cancel or park
+        the event."""
+        # pushes the entry itself, not through schedule(): the payload
+        # must be the Event even where schedule() is wrapped (the
+        # benchmark's layer tracer wraps its ``fn``)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        ev = Event(fn, self)
+        seq = self._seq
+        self._seq = seq + 1
         heappush(self._heap, (self.now + int(delay), seq, ev))
         live = self._live + 1
         self._live = live
@@ -141,28 +158,34 @@ class EventQueue:
         budget = -1 if max_events is None else max_events
         heap = self._heap
         while heap:
-            when, _, ev = heap[0]
-            if ev._state:
-                if ev._state == _CANCELLED:
+            when, _, fn = heap[0]
+            if type(fn) is Event:
+                state = fn._state
+                if state == _CANCELLED:
                     heappop(heap)
                     continue
-                # parked: re-arm in place with the key the rescheduling
-                # callback would have drawn, without calling it
                 if executed == budget:
                     raise self._exhausted(max_events, executed)
-                seq = self._seq
-                self._seq = seq + 1
                 self.now = when
-                heapreplace(heap, (when + ev.period, seq, ev))
+                if state == _PARKED:
+                    # re-arm in place with the key the rescheduling
+                    # callback would have drawn, without calling it
+                    seq = self._seq
+                    self._seq = seq + 1
+                    heapreplace(heap, (when + fn.period, seq, fn))
+                else:
+                    heappop(heap)
+                    fn._state = _DONE
+                    self._live -= 1
+                    fn.fn()
                 executed += 1
                 continue
             if executed == budget:
                 raise self._exhausted(max_events, executed)
             heappop(heap)
-            ev._state = _DONE
             self._live -= 1
             self.now = when
-            ev.fn()
+            fn()
             executed += 1
         return executed
 

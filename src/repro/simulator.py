@@ -629,7 +629,8 @@ class Simulator:
             if frames:
                 frames[-1].tentative_cycles += cycles
             else:
-                core.charge("NoTrans", cycles)
+                comp = core.comp
+                comp["NoTrans"] = comp.get("NoTrans", 0) + cycles
             self.queue.schedule(cycles, core.step_cb)
         elif isinstance(op, (Tx, OpenTx)):
             self._begin_tx(core, op)
@@ -1017,15 +1018,26 @@ class Simulator:
         """Carry out an access that found no conflict.  ``mask`` is the
         line's H3 mask; ``visible`` says the frame's new bits arm."""
         ctx = core.ctx
-        if ctx.frames:
-            frame = ctx.frames[-1]
+        frames = ctx.frames
+        if frames:
+            frame = frames[-1]
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
             carrier = frame.carrier
+            # a new line joins the read or write set, and its mask the
+            # set's signature (BloomSignature.add, inlined)
             if is_write:
-                if frame.record_write(line, mask) and visible:
-                    self._note_visible(core, ctx, mask, True, frame.write_sig._word)
+                lines, sig = frame.write_lines, frame.write_sig
+            else:
+                lines, sig = frame.read_lines, frame.read_sig
+            if line not in lines:
+                lines.add(line)
+                sig._word |= mask
+                sig._count += 1
+                if visible:
+                    self._note_visible(core, ctx, mask, is_write, sig._word)
+            if is_write:
                 extra, phys = carrier.pre_write(core.idx, frame, line)
                 spec = carrier.speculative_marking
                 if frame.vm.pop("allocate_write", False):
@@ -1041,11 +1053,16 @@ class Simulator:
                     self.oracle.record_tx_write(frame, op.addr, op.value)
                 latency = result.latency + extra
             else:
-                if frame.record_read(line, mask) and visible:
-                    self._note_visible(core, ctx, mask, False, frame.read_sig._word)
                 extra, phys = carrier.pre_read(core.idx, frame, line)
                 result = self.hierarchy.read(core.idx, phys)
-                value = self._tx_read_value(core, op.addr)
+                addr = op.addr
+                buffer = frame.write_buffer
+                if addr in buffer:
+                    value = buffer[addr]
+                elif len(frames) > 1:
+                    value = self._tx_read_value(core, addr)
+                else:
+                    value = self.memory.load(addr)
                 if self.oracle is not None:
                     self.oracle.record_tx_read(frame, op.addr, value)
                 ctx.pending_send = value if value is not None else _SENTINEL_NONE
@@ -1074,8 +1091,10 @@ class Simulator:
                 if self.oracle is not None:
                     self.oracle.record_nontx(core.idx, False, op.addr, value)
                 ctx.pending_send = value if value is not None else _SENTINEL_NONE
-            core.charge("NoTrans", result.latency + extra)
-            self.queue.schedule(result.latency + extra, core.step_cb)
+            latency = result.latency + extra
+            comp = core.comp
+            comp["NoTrans"] = comp.get("NoTrans", 0) + latency
+            self.queue.schedule(latency, core.step_cb)
 
     def _snapshot_access(
         self, core: _Core, op: Read | Write, line: int, is_write: bool,
@@ -1351,7 +1370,7 @@ class Simulator:
             period = self._stall_period
         if self.faults is not None:
             period = self.faults.perturb_stall_retry(core.idx, period)
-        event = self.queue.schedule(period, core.stall_poll_cb)
+        event = self.queue.arm(period, core.stall_poll_cb)
         core.retry_event = event
         if (default and self._poll_in_place and type(op) in (Read, Write)
                 and core.ctx.doomed_depth is None):
@@ -1451,7 +1470,7 @@ class Simulator:
                     ctx, (core.poll_mask,), core.poll_write
                 ), (None, None))[0] == holder
                 and not (ctx.frames and self._wait_cycle(core.idx, holder))):
-            event = self.queue.schedule(self._stall_period, core.stall_poll_cb)
+            event = self.queue.arm(self._stall_period, core.stall_poll_cb)
             core.retry_event = event
             self._park_poll(core, event)
             return

@@ -1,6 +1,5 @@
 """Unit + property tests for redirect entries (paper Table II)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hwcost.cacti import CactiLite, TableEstimate
+from repro.hwcost.cacti import CactiLite
 
 PAPER_TABLE_VII = {
     90: (1.382, 0.403, 0.434, 0.951),

@@ -51,7 +51,7 @@ def test_nested_scheduling_is_relative_to_current_time():
 def test_cancelled_event_is_skipped():
     q = EventQueue()
     hit = []
-    ev = q.schedule(1, lambda: hit.append(1))
+    ev = q.arm(1, lambda: hit.append(1))
     ev.cancel()
     q.schedule(2, lambda: hit.append(2))
     q.run()
@@ -62,6 +62,48 @@ def test_negative_delay_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.schedule(-1, lambda: None)
+    with pytest.raises(ValueError):
+        q.arm(-1, lambda: None)
+    assert len(q) == 0
+
+
+def test_only_arm_returns_a_handle():
+    q = EventQueue()
+    assert q.schedule(1, lambda: None) is None
+    ev = q.arm(1, lambda: None)
+    assert not ev.cancelled and not ev.parked
+
+
+def test_bare_and_armed_events_share_one_order():
+    q = EventQueue()
+    log = []
+    q.arm(2, lambda: log.append("armed-2"))
+    q.schedule(1, lambda: log.append("bare-1"))
+    q.schedule(2, lambda: log.append("bare-2"))
+    q.arm(2, lambda: log.append("armed-2b"))
+    assert len(q) == 4 and q.peak_queue == 4
+    assert q.run() == 4
+    assert log == ["bare-1", "armed-2", "bare-2", "armed-2b"]
+    assert len(q) == 0
+
+
+def test_event_budget_resumes_an_armed_event_at_the_head():
+    # the budget check precedes every state change: the armed event at
+    # the head stays pending and fires once, in order, on the next run
+    q = EventQueue()
+    log = []
+    q.schedule(1, lambda: log.append("a"))
+    ev = q.arm(2, lambda: log.append("armed"))
+    q.schedule(2, lambda: log.append("b"))
+    with pytest.raises(BudgetExhausted) as exc_info:
+        q.run(max_events=1)
+    assert exc_info.value.cycle == 1 and log == ["a"]
+    assert len(q) == 2 and not ev.parked and not ev.cancelled
+    # bounded: a kernel that took the event for a parked one would re-arm
+    # it for ever instead of firing it
+    assert q.run(max_events=10) == 2
+    assert log == ["a", "armed", "b"]
+    assert q.now == 2 and len(q) == 0
 
 
 def test_event_budget_guard():
@@ -77,7 +119,7 @@ def test_event_budget_guard():
 
 def test_len_counts_live_events():
     q = EventQueue()
-    a = q.schedule(1, lambda: None)
+    a = q.arm(1, lambda: None)
     q.schedule(2, lambda: None)
     assert len(q) == 2
     a.cancel()
@@ -95,7 +137,7 @@ def test_peak_queue_tracks_live_events_only():
     # regression: cancelled entries awaiting pop are queue garbage, not
     # queue pressure — peak_queue must not count them
     q = EventQueue()
-    events = [q.schedule(5, lambda: None) for _ in range(10)]
+    events = [q.arm(5, lambda: None) for _ in range(10)]
     assert q.peak_queue == 10
     for ev in events[:8]:
         ev.cancel()
@@ -105,7 +147,7 @@ def test_peak_queue_tracks_live_events_only():
 
     q2 = EventQueue()
     for _ in range(4):
-        q2.schedule(3, lambda: None).cancel()
+        q2.arm(3, lambda: None).cancel()
     q2.schedule(2, lambda: None)
     q2.run()
     # each event is cancelled before the next schedule, so at most one
@@ -131,8 +173,8 @@ def test_zero_delay_mid_drain_runs_same_cycle():
 def test_cancelling_one_of_two_same_time_events_keeps_the_other():
     q = EventQueue()
     log = []
-    keep = q.schedule(3, lambda: log.append("keep"))
-    kill = q.schedule(3, lambda: log.append("kill"))
+    keep = q.arm(3, lambda: log.append("keep"))
+    kill = q.arm(3, lambda: log.append("kill"))
     q.schedule(4, lambda: log.append("tail"))
     kill.cancel()
     assert len(q) == 2
@@ -160,7 +202,7 @@ def test_event_budget_ignores_a_cancelled_tail():
     q = EventQueue()
     log = []
     q.schedule(1, lambda: log.append(1))
-    q.schedule(9, lambda: log.append(9)).cancel()
+    q.arm(9, lambda: log.append(9)).cancel()
     assert q.run(max_events=1) == 1  # no raise: nothing live is left
     assert log == [1]
 
@@ -204,7 +246,7 @@ def _poll_log(parked: bool, period: int = 10, slots: int = 4):
             q.schedule(period, poll)
 
     q.schedule(period, chain("before"))
-    ev = q.schedule(period, poll)
+    ev = q.arm(period, poll)
     q.schedule(period, chain("after"))
     if parked:
         ev.park(period)
@@ -225,7 +267,7 @@ def test_parked_poll_keeps_the_rescheduling_chains_slots():
 
 def test_rearms_count_against_the_event_budget():
     q = EventQueue()
-    q.schedule(1, lambda: None).park(1)
+    q.arm(1, lambda: None).park(1)
     with pytest.raises(BudgetExhausted) as exc_info:
         q.run(max_events=10)
     assert exc_info.value.context["events"] == 10
@@ -235,7 +277,7 @@ def test_rearms_count_against_the_event_budget():
 def test_event_budget_rearms_parked_events():
     q = EventQueue()
     log = []
-    ev = q.schedule(4, lambda: log.append(q.now))
+    ev = q.arm(4, lambda: log.append(q.now))
     ev.park(3)
     for now in (4, 7):
         with pytest.raises(BudgetExhausted):
@@ -253,7 +295,7 @@ def test_event_budget_rearms_parked_events():
 def test_cancelled_parked_event_is_dropped():
     q = EventQueue()
     hit = []
-    ev = q.schedule(2, lambda: hit.append(q.now))
+    ev = q.arm(2, lambda: hit.append(q.now))
     ev.park(2)
     q.schedule(7, ev.cancel)
     assert q.run() == 4  # re-arms at 2, 4, 6, then the cancel at 7
@@ -263,7 +305,7 @@ def test_cancelled_parked_event_is_dropped():
 def test_unparked_event_fires_in_its_current_slot():
     q = EventQueue()
     hit = []
-    ev = q.schedule(5, lambda: hit.append(q.now))
+    ev = q.arm(5, lambda: hit.append(q.now))
     ev.park(5)
     q.schedule(12, ev.unpark)  # after the re-arms at 5 and 10
     q.run()
@@ -272,7 +314,7 @@ def test_unparked_event_fires_in_its_current_slot():
 
 def test_parked_events_are_live_for_len_and_peak():
     q = EventQueue()
-    parked = q.schedule(3, lambda: None)
+    parked = q.arm(3, lambda: None)
     parked.park(3)
     assert len(q) == 1 and q.peak_queue == 1
     with pytest.raises(BudgetExhausted):
@@ -280,7 +322,7 @@ def test_parked_events_are_live_for_len_and_peak():
     assert len(q) == 1 and q.peak_queue == 1
     # cancelled garbage is not live: it moves neither len nor the peak
     for _ in range(100):
-        q.schedule(50, lambda: None).cancel()
+        q.arm(50, lambda: None).cancel()
     assert len(q) == 1 and q.peak_queue == 2
     with pytest.raises(BudgetExhausted):
         q.run(max_events=1)
@@ -289,7 +331,7 @@ def test_parked_events_are_live_for_len_and_peak():
 
 def test_only_pending_events_park_and_periods_are_positive():
     q = EventQueue()
-    ev = q.schedule(1, lambda: None)
+    ev = q.arm(1, lambda: None)
     with pytest.raises(ValueError):
         ev.park(0)
     ev.cancel()
@@ -316,7 +358,8 @@ class _RefEvent:
 
 class _RefQueue:
     """The kernel's contract as a list sorted by ``(time, seq)``: a
-    parked event re-arms with a fresh ``seq`` and counts as executed."""
+    parked event re-arms with a fresh ``seq`` and counts as executed.
+    A bare entry is a pending event no one holds."""
 
     def __init__(self):
         self.items, self.seq, self.now, self.peak_queue = [], 0, 0, 0
@@ -329,11 +372,14 @@ class _RefQueue:
                             key=lambda item: item[:2])
         self.seq += 1
 
-    def schedule(self, delay, fn):
+    def arm(self, delay, fn):
         ev = _RefEvent(fn)
         self._push(self.now + delay, ev)
         self.peak_queue = max(self.peak_queue, len(self))
         return ev
+
+    def schedule(self, delay, fn):
+        self.arm(delay, fn)
 
     def run(self, max_events=None):
         executed = 0
@@ -354,10 +400,12 @@ class _RefQueue:
 
 def _random_program(seed: int, queue) -> list:
     """Run a seeded random callback program on ``queue``; returns its
-    observable trace.  Callbacks schedule with delays 0-5, cancel, park
-    and unpark; the program runs in up to three event budgets, with
-    parked events released between them.  The RNG is drawn in delivery
-    order, so two queues agree on the trace only if they deliver alike."""
+    observable trace.  Callbacks schedule bare or armed events with
+    delays 0-5 (so bare and armed ones tie often), and cancel, park and
+    unpark armed ones; the program runs in up to three event budgets,
+    with parked events released between them.  The RNG is drawn in
+    delivery order, so two queues agree on the trace only if they
+    deliver alike."""
     rng = random.Random(seed)
     trace, events, status = [], [], []
 
@@ -367,8 +415,14 @@ def _random_program(seed: int, queue) -> list:
 
     def spawn():
         tag = len(events)
-        status.append("pending")
-        events.append(queue.schedule(rng.randint(0, 5), lambda: fire(tag)))
+        delay = rng.randint(0, 5)
+        if rng.random() < 0.5:
+            status.append("pending")
+            events.append(queue.arm(delay, lambda: fire(tag)))
+        else:
+            # a bare entry: nothing can cancel or park it
+            status.append("bare")
+            events.append(queue.schedule(delay, lambda: fire(tag)))
 
     def fire(tag):
         status[tag] = "done"
@@ -402,6 +456,7 @@ def _random_program(seed: int, queue) -> list:
             if s == "parked":
                 events[i].unpark()
                 status[i] = "pending"
+    assert all(events[i] is None for i, s in enumerate(status) if s == "bare")
     return trace
 
 

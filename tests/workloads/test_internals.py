@@ -1,8 +1,5 @@
 """Unit tests for workload-internal pure functions and invariants."""
 
-import numpy as np
-import pytest
-
 from repro.workloads.intruder import ATTACK_SIGNATURES, _contains_signature
 from repro.workloads.registry import _SCALES
 from repro.workloads import WORKLOAD_NAMES, make_workload
