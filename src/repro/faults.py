@@ -320,7 +320,7 @@ class FaultInjector:
             # only running/stalled/backing-off transactions are killable;
             # a committer/aborter is mid-flight and a barrier-parked core
             # cannot legally hold a transaction anyway
-            if (core.ctx is None or not core.frames
+            if (core.ctx is None or not core.ctx.frames
                     or core.status in ("committing", "aborting",
                                        "barrier", "done")):
                 continue

@@ -300,7 +300,8 @@ class AbortRequesterResolution(ConflictResolution):
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
-        core.doomed_depth = len(core.frames) - 1
+        ctx = core.ctx
+        ctx.doomed_depth = len(ctx.frames) - 1
         sim._begin_abort(core)
 
 
@@ -337,14 +338,14 @@ class TimestampResolution(ConflictResolution):
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
-        holder = sim.cores[holder_idx]
-        mine = (core.frames[0].timestamp, core.ctx.tid)
-        theirs = (holder.frames[0].timestamp, holder.ctx.tid)
+        ctx, holder_ctx = core.ctx, sim.cores[holder_idx].ctx
+        mine = (ctx.frames[0].timestamp, ctx.tid)
+        theirs = (holder_ctx.frames[0].timestamp, holder_ctx.tid)
         if mine < theirs:
             sim._doom(holder_idx, 0)
             sim._stall_on(core, holder_idx, op)
         else:
-            core.doomed_depth = 0
+            ctx.doomed_depth = 0
             sim._begin_abort(core)
 
 
@@ -364,10 +365,11 @@ class _EpisodeTracking:
 
     def _tries(self, core: "_Core", holder_idx: int, op: object) -> int:
         """Consecutive resolves of this episode, starting at 1."""
+        frames = core.ctx.frames
         key = (
             holder_idx,
             getattr(op, "addr", -1),
-            core.frames[0].attempt if core.frames else -1,
+            frames[0].attempt if frames else -1,
         )
         prev_key, count = self._episodes.get(core.idx, (None, 0))
         count = count + 1 if prev_key == key else 1
@@ -433,8 +435,9 @@ class GreedyResolution(ConflictResolution):
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
     ) -> None:
         holder = sim.cores[holder_idx]
-        mine = (core.frames[0].timestamp, core.ctx.tid)
-        theirs = (holder.frames[0].timestamp, holder.ctx.tid)
+        ctx, holder_ctx = core.ctx, holder.ctx
+        mine = (ctx.frames[0].timestamp, ctx.tid)
+        theirs = (holder_ctx.frames[0].timestamp, holder_ctx.tid)
         # "stalled" = the holder is itself waiting on a third party
         # (simulator status constant; literal to avoid an import cycle).
         # A winner waiting out its victim's abort processing is *not*
@@ -445,7 +448,9 @@ class GreedyResolution(ConflictResolution):
         waiting = holder.status == "stalled"
         if waiting and holder.waiting_on is not None:
             victim = sim.cores[holder.waiting_on]
-            if victim.status == "aborting" or victim.doomed_depth is not None:
+            if victim.status == "aborting" or (
+                victim.ctx is not None and victim.ctx.doomed_depth is not None
+            ):
                 waiting = False
         if theirs > mine or waiting:
             sim._doom(holder_idx, 0)
@@ -499,13 +504,13 @@ class KarmaResolution(_EpisodeTracking, ConflictResolution):
         if sim._break_wait_cycle(core, holder_idx):
             self._forget(core)
             return
-        holder = sim.cores[holder_idx]
-        mine = self._karma(core.idx, core.ctx.tid, core.frames)
-        theirs = self._karma(holder.idx, holder.ctx.tid, holder.frames)
+        ctx, holder_ctx = core.ctx, sim.cores[holder_idx].ctx
+        mine = self._karma(core.idx, ctx.tid, ctx.frames)
+        theirs = self._karma(holder_idx, holder_ctx.tid, holder_ctx.frames)
         tries = self._tries(core, holder_idx, op)
         older = (
-            (core.frames[0].timestamp, core.ctx.tid)
-            < (holder.frames[0].timestamp, holder.ctx.tid)
+            (ctx.frames[0].timestamp, ctx.tid)
+            < (holder_ctx.frames[0].timestamp, holder_ctx.tid)
         )
         wins = mine > theirs or (mine == theirs and older)
         if wins or tries > max(0, theirs - mine):

@@ -6,6 +6,14 @@ below around every transactional event; each returns extra cycles to
 charge (on top of the plain coherence cost of the data access itself,
 which the simulator performs through the memory hierarchy).
 
+Every hook the simulator calls on a scheme is a method declared on
+:class:`VersionManager`, with a neutral default where a scheme may not
+care (the publication notes are no-ops except under mvsuv); the
+simulator never probes for an optional one.  The snapshot-read hooks
+are :class:`~repro.htm.vm.mvsuv.MVSUV`'s own: only a frame that its
+``mode_for`` admitted as a snapshot reader reaches them, through the
+frame's carrier.
+
 Functional semantics (read-your-writes, discard-on-abort,
 publish-on-commit) are handled uniformly by the simulator's write
 buffers; schemes only shape timing, placement and counters.  This split
@@ -164,10 +172,12 @@ class VersionManager:
         """Physical line a store to ``line`` lands on (identity default)."""
         return line
 
-    def mode_for(self, core: int, site: int) -> str:
-        """Execution mode for a new outermost transaction.
+    def mode_for(self, core: int, frame: TxFrame) -> str:
+        """Execution mode for a new outermost attempt of ``frame``.
 
-        Fixed by the cd axis; adaptive detection overrides it.
+        Fixed by the cd axis; adaptive detection picks ``eager`` or
+        ``lazy`` per site, and mvsuv may admit the attempt as a
+        ``snapshot`` reader (stamping ``frame`` with its snapshot).
         """
         return "lazy" if self.cd_axis == "lazy" else "eager"
 
@@ -192,6 +202,13 @@ class VersionManager:
     def validate(self, core: int, frame: TxFrame) -> bool:
         """Commit-time validation (lazy schemes); False forces an abort."""
         return True
+
+    # -- publication points (mvsuv records pre-images) ------------------
+    def note_publication(self, core: int, frame: TxFrame) -> None:
+        """A commit is about to publish ``frame.write_buffer``."""
+
+    def note_nontx_write(self, core: int, addr: int, line: int) -> None:
+        """A non-transactional store to ``addr`` is about to land."""
 
     # -- log plumbing shared by LogTM-SE and FasTM -----------------------
     def _log_append(self, core: int) -> int:

@@ -204,8 +204,8 @@ class AdaptiveVM(VersionManager):
         self.lazy.attach_trace(tracer)
 
     # -- mode selection (the cd axis) -----------------------------------
-    def mode_for(self, core: int, site: int) -> str:
-        mode = self._cd.mode_for(site)
+    def mode_for(self, core: int, frame: TxFrame) -> str:
+        mode = self._cd.mode_for(frame.site)
         self.stats.extra[f"{mode}_attempts"] += 1
         return mode
 

@@ -70,23 +70,24 @@ class MVSUV(SUV):
         )
 
     # ------------------------------------------------------------------
-    # snapshot admission (simulator hook)
+    # snapshot admission (mode selection)
     # ------------------------------------------------------------------
-    def snapshot_mode_for(self, core: int, site: int, declared: bool) -> bool:
-        """Should this outermost attempt run as a snapshot reader?"""
-        if site in self._demoted:
-            return False
-        if not declared and not (
-            self._site_commits.get(site, 0) > 0
-            and self._site_writes.get(site, 0) == 0
+    def mode_for(self, core: int, frame: TxFrame) -> str:
+        """``"snapshot"`` for an outermost attempt admitted as a
+        snapshot reader — declared read-only, or detected read-only from
+        its site's history, and not demoted — else the eager default.
+        An admitted attempt captures its snapshot timestamp here: the
+        newest publication it is allowed to observe."""
+        site = frame.site
+        if site in self._demoted or not (
+            frame.read_only
+            or (self._site_commits.get(site, 0) > 0
+                and self._site_writes.get(site, 0) == 0)
         ):
-            return False
+            return super().mode_for(core, frame)
         self.stats.extra["snapshot_txs"] += 1
-        return True
-
-    def current_seq(self) -> int:
-        """The snapshot timestamp a reader beginning now captures."""
-        return self._commit_seq
+        frame.vm["snapshot_seq"] = self._commit_seq
+        return "snapshot"
 
     @staticmethod
     def _snapshot_seq_of(frame: TxFrame) -> int:
@@ -99,7 +100,8 @@ class MVSUV(SUV):
         return 0
 
     # ------------------------------------------------------------------
-    # snapshot reads (simulator hook)
+    # snapshot reads (the simulator calls these on a snapshot frame's
+    # carrier, which is always this scheme)
     # ------------------------------------------------------------------
     def snapshot_read(
         self, core: int, frame: TxFrame, addr: int, line: int
@@ -141,16 +143,18 @@ class MVSUV(SUV):
         self._demoted.add(frame.site)
 
     # ------------------------------------------------------------------
-    # version recording (simulator hooks, called at publication points)
+    # version recording (called at publication points)
     # ------------------------------------------------------------------
     def note_publication(self, core: int, frame: TxFrame) -> None:
         """A commit is about to publish ``frame.write_buffer``."""
+        if not frame.write_buffer:
+            return
         self._commit_seq += 1
         seq = self._commit_seq
         memory = self.hierarchy.memory
         by_line: dict[int, dict[int, int]] = {}
         for addr in frame.write_buffer:
-            by_line.setdefault(addr >> LINE_SHIFT, {})[addr] = memory.peek(addr)
+            by_line.setdefault(addr >> LINE_SHIFT, {})[addr] = memory.load(addr)
         tr = self.trace
         cycle = tr.clock.now if tr is not None else 0
         for line in sorted(by_line):
@@ -164,7 +168,7 @@ class MVSUV(SUV):
         self._record_version(
             core, line, self._commit_seq,
             tr.clock.now if tr is not None else 0,
-            {addr: self.hierarchy.memory.peek(addr)},
+            {addr: self.hierarchy.memory.load(addr)},
         )
 
     def _record_version(

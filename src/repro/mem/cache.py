@@ -81,9 +81,6 @@ class SetAssocCache:
         #: insertion-ordered index of currently-speculative lines
         self._spec: dict[int, CacheLine] = {}
         self._tick = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def _set_of(self, line: int) -> dict[int, CacheLine]:
         mask = self._set_mask
@@ -103,23 +100,20 @@ class SetAssocCache:
         self._spec.pop(line, None)
 
     # ------------------------------------------------------------------
-    def lookup(self, line: int, touch: bool = True) -> CacheLine | None:
-        """The resident entry for ``line``, or None.  Counts hit/miss."""
+    def lookup(self, line: int) -> CacheLine | None:
+        """The resident entry for ``line``, or None; a hit touches LRU."""
         # set indexing inlined: this is the single hottest cache method
         mask = self._set_mask
         cset = self._sets[line & mask if mask >= 0 else line % self.n_sets]
         entry = cset.get(line) if cset is not None else None
         if entry is None or entry.state == _INVALID:
-            self.misses += 1
             return None
-        self.hits += 1
-        if touch:
-            self._tick += 1
-            entry.lru_tick = self._tick
+        self._tick += 1
+        entry.lru_tick = self._tick
         return entry
 
     def peek(self, line: int) -> CacheLine | None:
-        """Like lookup but without touching LRU or counters."""
+        """Like lookup but without touching LRU."""
         mask = self._set_mask
         cset = self._sets[line & mask if mask >= 0 else line % self.n_sets]
         entry = cset.get(line) if cset is not None else None
@@ -159,7 +153,6 @@ class SetAssocCache:
             del cset[victim.line]
             if victim.speculative:
                 self._drop_speculative_index(victim.line)
-            self.evictions += 1
         entry = CacheLine(
             line=line, state=state, dirty=dirty, speculative=False,
             lru_tick=self._tick,

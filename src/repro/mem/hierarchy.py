@@ -1,7 +1,7 @@
 """The MESI-coherent memory hierarchy of the simulated CMP.
 
 Coherence is modelled at transaction granularity: a GETS/GETM request is
-resolved atomically (lookup, forwarding, invalidations) and its total
+resolved atomically (lookup, forwarding, invalidation) and its total
 latency returned to the caller.  This captures everything the paper's
 evaluation depends on — hit/miss behaviour, dirty-line write-backs,
 invalidation storms, directory and mesh latencies — without simulating
@@ -68,15 +68,11 @@ class MemoryHierarchy:
         self._l2_lat = config.l2.latency
         self._dir_lat = self.directory.latency
         self._mem_lat = self.memory.access_latency()
-        # L1 hits vastly outnumber misses and always produce the same
-        # result object; consumers never mutate AccessResult (its
+        # an L1 hit is by far the most common access outcome and always
+        # produces the same result object; consumers never mutate AccessResult (its
         # eviction fields are shared empty tuples already), so one
         # preallocated instance serves every hit
         self._hit = AccessResult(self._l1_lat, True, "l1")
-        # counters
-        self.l1_writebacks = 0
-        self.invalidations = 0
-        self.forwards = 0
 
     # ------------------------------------------------------------------
     # internal helpers
@@ -88,10 +84,9 @@ class MemoryHierarchy:
         """Latency and source of a fill serviced below the L1s."""
         if self.l2.lookup(line) is not None:
             return self._l2_lat, "l2"
-        latency = self._l2_lat + self._mem_lat
-        victim = self.l2.insert(line, S.EXCLUSIVE)
         # dirty L2 victims drain to memory off the critical path
-        return latency, "mem"
+        self.l2.insert(line, S.EXCLUSIVE)
+        return self._l2_lat + self._mem_lat, "mem"
 
     def _install_l1(
         self, core: int, line: int, state: S, dirty: bool, speculative: bool
@@ -106,7 +101,6 @@ class MemoryHierarchy:
         if victim is not None:
             evicted.append(victim.line)
             if victim.dirty:
-                self.l1_writebacks += 1
                 self.l2.insert(victim.line, S.MODIFIED, dirty=True)
             if victim.speculative:
                 evicted_spec.append(victim.line)
@@ -120,10 +114,8 @@ class MemoryHierarchy:
             return 0
         worst = 0
         for holder in holders:
-            self.invalidations += 1
             entry = self.l1s[holder].invalidate(line)
             if entry is not None and entry.dirty:
-                self.l1_writebacks += 1
                 self.l2.insert(line, S.MODIFIED, dirty=True)
             self.directory.drop(line, holder)
             worst = max(worst, self.mesh.core_to_core(except_core, holder))
@@ -136,18 +128,16 @@ class MemoryHierarchy:
     def read(self, core: int, line: int) -> AccessResult:
         """Perform a load of ``line`` by ``core`` (GETS on miss)."""
         # the hit path probes the L1 set inline (SetAssocCache.lookup's
-        # probe, counters and LRU touch, without its call)
+        # probe and LRU touch, without its call)
         l1 = self.l1s[core]
         mask = l1._set_mask
         cset = l1._sets[line & mask if mask >= 0 else line % l1.n_sets]
         entry = cset.get(line) if cset is not None else None
         if entry is not None and entry.state != _I:
-            l1.hits += 1
             tick = l1._tick + 1
             l1._tick = tick
             entry.lru_tick = tick
             return self._hit
-        l1.misses += 1
 
         latency = self._l1_lat  # detect the miss
         latency += self._to_bank(core, line) + self._dir_lat
@@ -155,11 +145,9 @@ class MemoryHierarchy:
         if owner is not None and owner != core:
             # cache-to-cache forward; owner downgrades to S, dirty data
             # drains to the L2 so the L2 copy is up to date.
-            self.forwards += 1
             own_entry = self.l1s[owner].peek(line)
             if own_entry is not None:
                 if own_entry.dirty:
-                    self.l1_writebacks += 1
                     self.l2.insert(line, S.MODIFIED, dirty=True)
                     own_entry.dirty = False
                 own_entry.state = S.SHARED
@@ -195,7 +183,6 @@ class MemoryHierarchy:
         cset = l1._sets[line & mask if mask >= 0 else line % l1.n_sets]
         entry = cset.get(line) if cset is not None else None
         if entry is not None and entry.state <= _E:  # MODIFIED or EXCLUSIVE
-            l1.hits += 1
             tick = l1._tick + 1
             l1._tick = tick
             entry.lru_tick = tick
@@ -224,11 +211,9 @@ class MemoryHierarchy:
         latency += self._to_bank(core, line) + self._dir_lat
         owner = self.directory.owner_of(line)
         if owner is not None and owner != core and self.l1s[owner].peek(line):
-            self.forwards += 1
             own_entry = self.l1s[owner].invalidate(line)
             self.directory.drop(line, owner)
             if own_entry is not None and own_entry.dirty:
-                self.l1_writebacks += 1
                 self.l2.insert(line, S.MODIFIED, dirty=True)
             latency += self.mesh.core_to_core(owner, core) + self._l1_lat
             source = "owner"
@@ -314,7 +299,6 @@ class MemoryHierarchy:
         entry = self.l1s[core].peek(line)
         if entry is None or not entry.dirty:
             return 0
-        self.l1_writebacks += 1
         self.l2.insert(line, S.MODIFIED, dirty=True)
         entry.dirty = False
         return self._to_bank(core, line) + self._l2_lat

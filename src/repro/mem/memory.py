@@ -1,8 +1,9 @@
 """Banked main memory: latency model plus the functional value store.
 
 The value store is word-granular (8-byte words) and shared by every
-version-management scheme; the *timing* of who reads/writes which line
-when is what differs between schemes.
+version-management scheme; the *timing* of who loads or stores which line
+when is what differs between schemes.  It counts nothing: an access's
+cost reaches the run only as the latency the hierarchy charges.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ class MainMemory:
     def __init__(self, config: MemoryConfig) -> None:
         self.config = config
         self._values: dict[int, int] = {}
-        self.reads = 0
-        self.writes = 0
 
     # -- timing ---------------------------------------------------------
     def access_latency(self) -> int:
@@ -31,23 +30,14 @@ class MainMemory:
 
     # -- functional value store -----------------------------------------
     def load(self, addr: int) -> int:
-        """Word value at ``addr`` (uninitialized memory reads as 0)."""
-        self.reads += 1
-        return self._values.get(addr, 0)
-
-    def peek(self, addr: int) -> int:
-        """Like :meth:`load` but without counting a read — used by
-        bookkeeping that snoops values (version pre-imaging, oracles)
-        rather than modelling a program access."""
+        """Word value at ``addr`` (uninitialized memory loads as 0)."""
         return self._values.get(addr, 0)
 
     def store(self, addr: int, value: int) -> None:
-        self.writes += 1
         self._values[addr] = value
 
     def bulk_store(self, items: dict[int, int]) -> None:
         """Publish a committed write buffer."""
-        self.writes += len(items)
         self._values.update(items)
 
     def snapshot(self) -> dict[int, int]:

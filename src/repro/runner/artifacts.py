@@ -1,7 +1,8 @@
 """Append-only JSONL artifact store for run outcomes.
 
-One JSON object per line, built on :mod:`repro.stats.export` for the
-result payload, so external tooling (plot scripts, dashboards) can
+One JSON object per line, whose result payload is
+:meth:`~repro.simulator.SimResult.to_dict` without the final memory
+image, so external tooling (plot scripts, dashboards) can
 stream-parse a sweep's history without loading it whole.
 
 A process killed mid-append leaves a truncated trailing line — exactly
@@ -21,7 +22,6 @@ from typing import Any, Mapping
 from repro.provenance import provenance
 from repro.runner.spec import ExperimentSpec
 from repro.simulator import SimResult
-from repro.stats.export import result_to_dict
 
 
 class ArtifactStore:
@@ -49,6 +49,12 @@ class ArtifactStore:
         error_type: str | None = None,
         resumed: bool = False,
     ) -> None:
+        summary = None
+        if result is not None:
+            # the final memory image can be as large as the footprint,
+            # and no reader of a record needs it
+            summary = result.to_dict()
+            del summary["memory"]
         record = {
             "spec_hash": spec.spec_hash(),
             "spec": spec.to_dict(),
@@ -59,7 +65,7 @@ class ArtifactStore:
             "duration_s": round(duration_s, 6),
             "error": error,
             "error_type": error_type,
-            "result": result_to_dict(result) if result is not None else None,
+            "result": summary,
         }
         self._append(record)
 

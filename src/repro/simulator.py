@@ -106,7 +106,11 @@ class _ThreadCtx:
 
 
 class _Core:
-    """A hardware context executing at most one thread at a time."""
+    """A hardware context executing at most one thread at a time.
+
+    The thread's own state (generators, frames, pending op, doom) lives
+    on its :class:`_ThreadCtx`, reached through ``ctx``: a thread
+    migrates between cores, so the core only says who is mounted."""
 
     def __init__(self, idx: int) -> None:
         self.idx = idx
@@ -127,51 +131,6 @@ class _Core:
         self.step_cb: Callable[[], None] | None = None
         self.retry_cb: Callable[[], None] | None = None
         self.stall_poll_cb: Callable[[], None] | None = None
-
-    # -- delegation to the mounted thread ------------------------------
-    @property
-    def gen_stack(self) -> list[Generator]:
-        return self.ctx.gen_stack
-
-    @property
-    def frames(self) -> list[TxFrame]:
-        return self.ctx.frames if self.ctx is not None else []
-
-    @property
-    def pending_send(self) -> Any:
-        return self.ctx.pending_send
-
-    @pending_send.setter
-    def pending_send(self, value: Any) -> None:
-        self.ctx.pending_send = value
-
-    @property
-    def pending_op(self) -> Any:
-        return self.ctx.pending_op
-
-    @pending_op.setter
-    def pending_op(self, value: Any) -> None:
-        self.ctx.pending_op = value
-
-    @property
-    def doomed_depth(self) -> int | None:
-        return self.ctx.doomed_depth if self.ctx is not None else None
-
-    @doomed_depth.setter
-    def doomed_depth(self, value: int | None) -> None:
-        self.ctx.doomed_depth = value
-
-    @property
-    def consecutive_aborts(self) -> int:
-        return self.ctx.consecutive_aborts
-
-    @consecutive_aborts.setter
-    def consecutive_aborts(self, value: int) -> None:
-        self.ctx.consecutive_aborts = value
-
-    @property
-    def in_tx(self) -> bool:
-        return bool(self.frames)
 
     def charge(self, component: str, cycles: int) -> None:
         self.comp[component] = self.comp.get(component, 0) + cycles
@@ -307,18 +266,6 @@ class Simulator:
         self._sig_family = H3HashFamily.shared(sig.hashes, sig.bits, sig.seed)
         self._mask_of = self._sig_family.mask
         self._mask_memo = self._sig_family.mask_memo
-        #: multiversion snapshot hooks (mvsuv); every one is None for
-        #: ordinary schemes, so the per-access guard is one attribute
-        #: test and no behaviour changes
-        self._snapshot_mode_for = getattr(self.scheme, "snapshot_mode_for", None)
-        self._snapshot_read = getattr(self.scheme, "snapshot_read", None)
-        self._current_seq = getattr(self.scheme, "current_seq", None)
-        self._note_publication = getattr(self.scheme, "note_publication", None)
-        self._note_nontx_write = getattr(self.scheme, "note_nontx_write", None)
-        self._note_snapshot_violation = getattr(
-            self.scheme, "note_snapshot_violation", None
-        )
-        self._has_snapshot = self._snapshot_read is not None
         self._resolution: ConflictResolution = make_resolution(
             composition.resolution
         )
@@ -579,9 +526,6 @@ class Simulator:
         ctx = core.ctx
         if core.status == DONE or ctx is None:
             return
-        # ctx is read directly below: core.doomed_depth/pending_send are
-        # delegation properties, and the descriptor call costs on a path
-        # that runs once per simulated operation
         if ctx.doomed_depth is not None:
             self._begin_abort(core)
             return
@@ -590,11 +534,11 @@ class Simulator:
             if frozen:
                 # injected interrupt/interference burst: the core holds
                 # still (transactional state stays armed) and resumes
-                if core.in_tx:
-                    core.frames[-1].tentative_cycles += frozen
+                if ctx.frames:
+                    ctx.frames[-1].tentative_cycles += frozen
                 else:
                     core.charge("NoTrans", frozen)
-                self._resume_after(core, frozen)
+                self.queue.schedule(frozen, core.step_cb)
                 return
         if (self._multiplex and self._ready
                 and self.queue.now - ctx.slice_start
@@ -639,16 +583,14 @@ class Simulator:
         else:
             raise TypeError(f"unknown operation {op!r}")
 
-    def _resume_after(self, core: _Core, delay: int) -> None:
-        self.queue.schedule(delay, core.step_cb)
-
-
     # ------------------------------------------------------------------
     # transactions: begin / commit / abort
     # ------------------------------------------------------------------
     def _begin_tx(self, core: _Core, op: Tx) -> None:
-        depth = len(core.frames)
-        outer = core.frames[0] if depth else None
+        ctx = core.ctx
+        frames = ctx.frames
+        depth = len(frames)
+        outer = frames[0] if depth else None
         frame = TxFrame.create(
             site=op.site,
             body_factory=op.body,
@@ -657,7 +599,7 @@ class Simulator:
             now=self.queue.now,
             sig_config=self.config.signature,
         )
-        frame.parent = core.frames[-1] if core.frames else None
+        frame.parent = frames[-1] if frames else None
         frame.read_only = getattr(op, "read_only", False)
         if outer is None:
             self._select_mode(core, frame)
@@ -671,47 +613,42 @@ class Simulator:
                     "an open-nested transaction needs an enclosing "
                     "transaction",
                     cycle=self.queue.now, core=core.idx,
-                    tid=core.ctx.tid, site=op.site,
+                    tid=ctx.tid, site=op.site,
                 )
             if frame.mode == "lazy":
                 raise TransactionError(
                     "open nesting is not supported in lazy execution mode",
                     cycle=self.queue.now, core=core.idx,
-                    tid=core.ctx.tid, site=op.site,
+                    tid=ctx.tid, site=op.site,
                 )
             frame.open_nested = True
             frame.compensate = op.compensate
-        core.frames.append(frame)
-        core.gen_stack.append(op.body())
+        frames.append(frame)
+        ctx.gen_stack.append(op.body())
         self.tx_attempts += 1 if depth == 0 else 0
         if depth == 0 and self.trace.events is not None:
             self.trace.emit(
-                self.queue.now, TX_BEGIN, core.idx, core.ctx.tid,
+                self.queue.now, TX_BEGIN, core.idx, ctx.tid,
                 {"site": op.site, "attempt": frame.attempt, "mode": frame.mode},
             )
         cost = self.config.htm.checkpoint_cycles + frame.carrier.on_begin(core.idx, frame)
         frame.tentative_cycles += cost
-        self._resume_after(core, cost)
+        self.queue.schedule(cost, core.step_cb)
 
     def _select_mode(self, core: _Core, frame: TxFrame) -> None:
         """Pick an outermost attempt's execution mode and fix what it
         implies: the carrier that serves the attempt and its visibility.
-        DynTM may flip eager↔lazy between attempts; a snapshot attempt
-        (mvsuv) captures its snapshot timestamp here."""
-        mode = self.scheme.mode_for(core.idx, frame.site)
-        if (self._snapshot_mode_for is not None
-                and self._snapshot_mode_for(core.idx, frame.site, frame.read_only)):
-            mode = "snapshot"
-            # the newest publication this reader is allowed to observe
-            frame.vm["snapshot_seq"] = self._current_seq()
+        DynTM may flip eager↔lazy between attempts; mvsuv may admit the
+        attempt as a snapshot reader (and stamps its snapshot)."""
+        mode = self.scheme.mode_for(core.idx, frame)
         frame.mode = mode
         frame.carrier = self.scheme.carrier_for(mode)
         frame.visible = mode == "eager"
 
     def _on_generator_done(self, core: _Core, stop: StopIteration) -> None:
-        if len(core.gen_stack) == 1:
+        ctx = core.ctx
+        if len(ctx.gen_stack) == 1:
             # the thread itself finished
-            ctx = core.ctx
             ctx.gen_stack.pop()
             ctx.done = True
             ctx.finish_time = self.queue.now
@@ -726,10 +663,11 @@ class Simulator:
         self._begin_commit(core, getattr(stop, "value", None))
 
     def _begin_commit(self, core: _Core, tx_value: Any) -> None:
-        frame = core.frames[-1]
+        ctx = core.ctx
+        frame = ctx.frames[-1]
         outermost = frame.depth == 0
         if frame.vm.get("must_abort"):
-            core.doomed_depth = 0
+            ctx.doomed_depth = 0
             self._begin_abort(core)
             return
         if outermost:
@@ -743,12 +681,11 @@ class Simulator:
                 arb.acquire(core.idx)
                 if not frame.carrier.validate(core.idx, frame):
                     arb.release(core.idx)
-                    core.doomed_depth = 0
+                    ctx.doomed_depth = 0
                     self._begin_abort(core)
                     return
                 # the committer probes its write set as a write: a
                 # visible holder of those lines must finish first
-                ctx = core.ctx
                 masks = [self._mask_of(line) for line in frame.write_lines]
                 hit = next(self._holders(ctx, masks, True), None)
                 if hit is not None:
@@ -771,7 +708,7 @@ class Simulator:
                 frame.visible = True
                 self._publish_visible(core, frame)
             elif not frame.carrier.validate(core.idx, frame):
-                core.doomed_depth = 0
+                ctx.doomed_depth = 0
                 self._begin_abort(core)
                 return
         # an open-nested commit publishes like an outermost one
@@ -786,11 +723,12 @@ class Simulator:
         self.queue.schedule(latency, partial(self._finish_commit, core, tx_value))
 
     def _finish_commit(self, core: _Core, tx_value: Any) -> None:
-        frame = core.frames.pop()
-        core.gen_stack.pop()
+        ctx = core.ctx
+        frame = ctx.frames.pop()
+        ctx.gen_stack.pop()
         self._arbitration.release(core.idx)
         if frame.depth == 0 or frame.open_nested:
-            self._drop_frames(core.ctx)
+            self._drop_frames(ctx)
         if frame.depth == 0:
             # the isolation window closes here: signatures disarm only
             # once commit processing (repair/merge/bit-flip) finished.
@@ -803,19 +741,19 @@ class Simulator:
                 self.trace.note_window(span, committed=True)
             if self.trace.events is not None:
                 self.trace.emit(
-                    self.queue.now, TX_COMMIT, core.idx, core.ctx.tid,
+                    self.queue.now, TX_COMMIT, core.idx, ctx.tid,
                     {"site": frame.site, "attempt": frame.attempt,
                      "writes": len(frame.write_lines)},
                 )
             core.charge("Trans", frame.tentative_cycles)
-            core.consecutive_aborts = 0
+            ctx.consecutive_aborts = 0
             frame.pending_compensations.clear()
             self.scheme.note_outcome(core.idx, frame, committed=True)
             self._publish(core, frame)
         elif frame.open_nested:
             # open-nested commit (§IV-C): publish now, release isolation,
             # and register the compensating action with the parent
-            parent = core.frames[-1]
+            parent = ctx.frames[-1]
             parent.tentative_cycles += frame.tentative_cycles
             if frame.compensate is not None:
                 parent.vm.setdefault("compensations", []).append(
@@ -823,7 +761,7 @@ class Simulator:
                 )
             self._publish(core, frame)
         else:
-            parent = core.frames[-1]
+            parent = ctx.frames[-1]
             parent.merge_child(frame)
             if self._parked and core.idx < self._park_hmax:
                 # the union may cover a probe neither frame covered
@@ -832,16 +770,15 @@ class Simulator:
                 )
             parent.carrier.merge_nested(parent, frame)
         core.status = RUNNING
-        core.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
-        self._resume_after(core, 0)
+        ctx.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
+        self.queue.schedule(0, core.step_cb)
 
     def _publish(self, core: _Core, frame: TxFrame) -> None:
         """A publishing commit (outermost or open-nested) lands: its
         writes reach memory, the version clock moves, and the isolation
         it released wakes its waiters."""
-        if self._note_publication is not None and frame.write_buffer:
-            # pre-image the overwritten words before they change
-            self._note_publication(core.idx, frame)
+        # mvsuv pre-images the overwritten words before they change
+        frame.carrier.note_publication(core.idx, frame)
         self.memory.bulk_store(frame.write_buffer)
         if self.oracle is not None:
             self.oracle.note_commit(core.idx, frame, open_nested=frame.open_nested)
@@ -853,19 +790,21 @@ class Simulator:
         self._wake_waiters(core)
 
     def _begin_abort(self, core: _Core) -> None:
-        depth = core.doomed_depth if core.doomed_depth is not None else 0
-        core.doomed_depth = None
+        ctx = core.ctx
+        frames = ctx.frames
+        depth = ctx.doomed_depth if ctx.doomed_depth is not None else 0
+        ctx.doomed_depth = None
         # discard any in-flight value or retried op from the doomed attempt
-        core.pending_send = None
-        core.pending_op = None
-        if not core.frames:
+        ctx.pending_send = None
+        ctx.pending_op = None
+        if not frames:
             # nothing to abort (race with an already-finished abort)
             core.status = RUNNING
-            self._resume_after(core, 0)
+            self.queue.schedule(0, core.step_cb)
             return
-        depth = min(depth, len(core.frames) - 1)
+        depth = min(depth, len(frames) - 1)
         latency = 0
-        for frame in reversed(core.frames[depth:]):
+        for frame in reversed(frames[depth:]):
             latency += frame.carrier.abort(
                 core.idx, frame, outermost=(frame.depth == depth)
             )
@@ -878,7 +817,9 @@ class Simulator:
         self.queue.schedule(latency, partial(self._finish_abort, core, depth))
 
     def _finish_abort(self, core: _Core, depth: int) -> None:
-        retry_frame = core.frames[depth]
+        ctx = core.ctx
+        frames = ctx.frames
+        retry_frame = frames[depth]
         if depth == 0:
             # the aborted attempt's isolation window closes with the
             # end of abort processing; the retry opens a fresh one.
@@ -890,28 +831,28 @@ class Simulator:
                 self.trace.note_window(span, committed=False)
             if self.trace.events is not None:
                 self.trace.emit(
-                    self.queue.now, TX_ABORT, core.idx, core.ctx.tid,
+                    self.queue.now, TX_ABORT, core.idx, ctx.tid,
                     {"site": retry_frame.site, "attempt": retry_frame.attempt},
                 )
         self.scheme.note_outcome(core.idx, retry_frame, committed=False)
         # compensations owed by committed open-nested children of the
         # aborted attempt run as a prologue of the retry
-        for frame in core.frames[depth:]:
+        for frame in frames[depth:]:
             retry_frame.pending_compensations.extend(
                 frame.vm.get("compensations", ())
             )
         # drop the aborted levels (their signatures disarm here — the
         # repair window just closed)
-        del core.frames[depth + 1:]
-        del core.gen_stack[depth + 2:]
-        core.gen_stack.pop()  # the aborted level's own generator
+        del frames[depth + 1:]
+        del ctx.gen_stack[depth + 2:]
+        ctx.gen_stack.pop()  # the aborted level's own generator
         retry_frame.reset_for_retry(self.queue.now)
-        self._drop_frames(core.ctx)
-        core.consecutive_aborts += 1
+        self._drop_frames(ctx)
+        ctx.consecutive_aborts += 1
         if self.oracle is not None:
             self.oracle.note_abort(core.idx, depth)
         self._wake_waiters(core)
-        delay = self.backoff.delay(core.consecutive_aborts)
+        delay = self.backoff.delay(ctx.consecutive_aborts)
         if self.faults is not None:
             delay = self.faults.perturb_backoff(core.idx, delay)
         core.charge("Backoff", delay)
@@ -919,7 +860,8 @@ class Simulator:
         self.queue.schedule(delay, partial(self._retry_tx, core, depth))
 
     def _retry_tx(self, core: _Core, depth: int) -> None:
-        frame = core.frames[depth]
+        ctx = core.ctx
+        frame = ctx.frames[depth]
         if depth == 0:
             # re-select the execution mode; the timestamp is kept so
             # older transactions keep priority
@@ -929,7 +871,7 @@ class Simulator:
             frame.start_time = self.queue.now
             if self.trace.events is not None:
                 self.trace.emit(
-                    self.queue.now, TX_BEGIN, core.idx, core.ctx.tid,
+                    self.queue.now, TX_BEGIN, core.idx, ctx.tid,
                     {"site": frame.site, "attempt": frame.attempt,
                      "mode": frame.mode},
                 )
@@ -949,13 +891,13 @@ class Simulator:
                 result = yield from original()
                 return result
 
-            core.gen_stack.append(_compensating_body())
+            ctx.gen_stack.append(_compensating_body())
         else:
-            core.gen_stack.append(frame.body_factory())
+            ctx.gen_stack.append(frame.body_factory())
         cost = self.config.htm.checkpoint_cycles + frame.carrier.on_begin(core.idx, frame)
         frame.tentative_cycles += cost
         core.status = RUNNING
-        self._resume_after(core, cost)
+        self.queue.schedule(cost, core.step_cb)
 
     # ------------------------------------------------------------------
     # memory accesses + conflict resolution
@@ -971,7 +913,11 @@ class Simulator:
         # a hidden frame (lazy and not publishing yet, or a wait-free
         # snapshot) neither scans nor arms its signatures
         if frames and not frames[-1].visible:
-            self._perform_access(core, op, line, is_write, mask, False)
+            frame = frames[-1]
+            if frame.mode == "snapshot":
+                self._snapshot_access(core, op, line, is_write, frame)
+            else:
+                self._perform_access(core, op, line, is_write, mask, False)
             return
         # the summary only ever rejects a scan: no frame's word covers
         # the mask unless the OR of all visible words does
@@ -1021,9 +967,6 @@ class Simulator:
         frames = ctx.frames
         if frames:
             frame = frames[-1]
-            if self._has_snapshot and frame.mode == "snapshot":
-                self._snapshot_access(core, op, line, is_write, frame)
-                return
             carrier = frame.carrier
             # a new line joins the read or write set, and its mask the
             # set's signature (BloomSignature.add, inlined)
@@ -1069,7 +1012,7 @@ class Simulator:
                 latency = result.latency + extra
             frame.tentative_cycles += latency
             if frame.vm.get("must_abort"):
-                core.doomed_depth = 0
+                ctx.doomed_depth = 0
                 # the overflow is noticed when the access completes
                 self.queue.schedule(latency, partial(self._begin_abort, core))
                 return
@@ -1078,10 +1021,9 @@ class Simulator:
             extra, phys = self.scheme.nontx_translate(core.idx, line)
             if is_write:
                 result = self.hierarchy.write(core.idx, phys)
-                if self._note_nontx_write is not None:
-                    # pre-image the word before the store lands (strong
-                    # isolation makes this a publication of its own)
-                    self._note_nontx_write(core.idx, op.addr, line)
+                # mvsuv pre-images the word before the store lands (strong
+                # isolation makes this a publication of its own)
+                self.scheme.note_nontx_write(core.idx, op.addr, line)
                 self.memory.store(op.addr, op.value)
                 if self.oracle is not None:
                     self.oracle.record_nontx(core.idx, True, op.addr, op.value)
@@ -1111,15 +1053,16 @@ class Simulator:
         retry runs as an ordinary eager transaction (no livelock).
         """
         ctx = core.ctx
+        # a snapshot frame's carrier is always the MVSUV that admitted it
+        mvsuv = frame.carrier
         if is_write:
-            if self._note_snapshot_violation is not None:
-                self._note_snapshot_violation(core.idx, frame)
-            core.doomed_depth = 0
+            mvsuv.note_snapshot_violation(core.idx, frame)
+            ctx.doomed_depth = 0
             self._begin_abort(core)
             return
-        extra, value, ok = self._snapshot_read(core.idx, frame, op.addr, line)
+        extra, value, ok = mvsuv.snapshot_read(core.idx, frame, op.addr, line)
         if not ok:
-            core.doomed_depth = 0
+            ctx.doomed_depth = 0
             self._begin_abort(core)
             return
         if value is None:
@@ -1290,14 +1233,16 @@ class Simulator:
 
     def _youngest(self, cycle: list[int]) -> int:
         """The youngest transaction (largest begin timestamp) to abort."""
+        cores = self.cores
         candidates = [
             i for i in set(cycle)
-            if self.cores[i].frames and self.cores[i].status not in (COMMITTING,)
+            if cores[i].ctx is not None and cores[i].ctx.frames
+            and cores[i].status not in (COMMITTING,)
         ]
         if not candidates:
             return cycle[0]
         return max(
-            candidates, key=lambda i: (self.cores[i].frames[0].timestamp, i)
+            candidates, key=lambda i: (cores[i].ctx.frames[0].timestamp, i)
         )
 
     def _break_wait_cycle(self, core: _Core, holder_idx: int) -> bool:
@@ -1309,7 +1254,7 @@ class Simulator:
             return False
         victim_idx = self._youngest(cycle)
         if victim_idx == core.idx:
-            core.doomed_depth = 0
+            core.ctx.doomed_depth = 0
             self._begin_abort(core)
             return True
         self._doom(victim_idx, 0)
@@ -1317,12 +1262,12 @@ class Simulator:
 
     def _doom(self, victim_idx: int, depth: int) -> None:
         victim = self.cores[victim_idx]
-        if (victim.ctx is None or not victim.frames
+        ctx = victim.ctx
+        if (ctx is None or not ctx.frames
                 or victim.status in (COMMITTING, ABORTING, DONE)):
             return
-        victim.doomed_depth = (
-            depth if victim.doomed_depth is None
-            else min(victim.doomed_depth, depth)
+        ctx.doomed_depth = (
+            depth if ctx.doomed_depth is None else min(ctx.doomed_depth, depth)
         )
         if victim.status == STALLED:
             self._unstall(victim)
@@ -1330,8 +1275,7 @@ class Simulator:
         elif victim.status == BARRIER:
             raise InvariantViolation(
                 "a transactional core is parked at a barrier",
-                cycle=self.queue.now, core=victim_idx,
-                tid=victim.ctx.tid if victim.ctx else None,
+                cycle=self.queue.now, core=victim_idx, tid=ctx.tid,
             )
         # RUNNING / BACKOFF victims notice the doom at their next event
 
@@ -1348,20 +1292,20 @@ class Simulator:
         ``cycle_checked`` says the caller has just run ``_wait_cycle``
         for this edge and broken any cycle it found.
         """
+        ctx = core.ctx
         holder = self.cores[holder_idx]
         if holder.ctx is None or not holder.ctx.frames:
             # the holder finished in the meantime: retry immediately
-            core.pending_op = op
+            ctx.pending_op = op
             self._resume_retry(core, 0)
             return
         core.status = STALLED
-        core.pending_op = op
+        ctx.pending_op = op
         core.waiting_on = holder_idx
         core.stall_start = self.queue.now
         if self.trace.events is not None:
             self.trace.emit(
-                self.queue.now, TX_STALL, core.idx,
-                core.ctx.tid if core.ctx is not None else -1,
+                self.queue.now, TX_STALL, core.idx, ctx.tid,
                 {"holder": holder_idx},
             )
         holder.waiters.add(core.idx)
@@ -1373,7 +1317,7 @@ class Simulator:
         event = self.queue.arm(period, core.stall_poll_cb)
         core.retry_event = event
         if (default and self._poll_in_place and type(op) in (Read, Write)
-                and core.ctx.doomed_depth is None):
+                and ctx.doomed_depth is None):
             # the access just scanned and found this holder first
             self._park_poll(core, event)
         if self._parked and not cycle_checked:
@@ -1435,13 +1379,17 @@ class Simulator:
             event.cancel()
             core.retry_event = None
 
-    def _unstall(self, core: _Core) -> None:
+    def _unstall(self, core: _Core, woken_by: int | None = None) -> None:
+        """End ``core``'s stall; ``woken_by`` is the holder whose
+        commit or abort released it, if that is what ended it."""
         core.charge("Stalled", self.queue.now - core.stall_start)
         if self.trace.events is not None:
+            data = {"waited": self.queue.now - core.stall_start}
+            if woken_by is not None:
+                data["woken_by"] = woken_by
             self.trace.emit(
                 self.queue.now, TX_UNSTALL, core.idx,
-                core.ctx.tid if core.ctx is not None else -1,
-                {"waited": self.queue.now - core.stall_start},
+                core.ctx.tid if core.ctx is not None else -1, data,
             )
         self._cancel_poll(core)
         if core.waiting_on is not None:
@@ -1482,17 +1430,7 @@ class Simulator:
             waiter = self.cores[waiter_idx]
             if waiter.status != STALLED or waiter.waiting_on != core.idx:
                 continue
-            waiter.charge("Stalled", self.queue.now - waiter.stall_start)
-            if self.trace.events is not None:
-                self.trace.emit(
-                    self.queue.now, TX_UNSTALL, waiter.idx,
-                    waiter.ctx.tid if waiter.ctx is not None else -1,
-                    {"waited": self.queue.now - waiter.stall_start,
-                     "woken_by": core.idx},
-                )
-            self._cancel_poll(waiter)
-            waiter.waiting_on = None
-            waiter.status = RUNNING
+            self._unstall(waiter, woken_by=core.idx)
             self.queue.schedule(0, waiter.retry_cb)
         core.waiters.clear()
 
@@ -1522,13 +1460,13 @@ class Simulator:
     # barriers
     # ------------------------------------------------------------------
     def _enter_barrier(self, core: _Core, op: Barrier) -> None:
-        if core.in_tx:
+        ctx = core.ctx
+        if ctx.frames:
             raise TransactionError(
                 "Barrier inside a transaction is not allowed",
-                cycle=self.queue.now, core=core.idx, tid=core.ctx.tid,
-                site=core.frames[0].site,
+                cycle=self.queue.now, core=core.idx, tid=ctx.tid,
+                site=ctx.frames[0].site,
             )
-        ctx = core.ctx
         ctx.barrier_bid = op.bid
         ctx.barrier_start = self.queue.now
         self._barrier_arrived.setdefault(op.bid, set()).add(ctx.tid)

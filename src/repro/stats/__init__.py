@@ -1,12 +1,8 @@
-"""Execution statistics: breakdown components, charts, reports, export."""
+"""Execution statistics: breakdown components, charts and reports."""
 
 from repro.stats.breakdown import COMPONENTS, Breakdown
 from repro.stats.charts import breakdown_chart, line_plot
 from repro.stats.report import format_breakdown_table, format_table
-
-# NOTE: repro.stats.export imports repro.simulator (which imports this
-# package), so it is intentionally not re-exported here; import it as
-# ``from repro.stats.export import results_to_json``.
 
 __all__ = [
     "Breakdown",

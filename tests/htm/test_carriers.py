@@ -9,6 +9,7 @@ from repro.config import SimConfig
 from repro.htm.ops import Tx, Write
 from repro.htm.policy import NAMED_SCHEMES, legal_combinations
 from repro.htm.vm import AdaptiveVM, make_version_manager
+from repro.htm.vm.mvsuv import MVSUV
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.simulator import Simulator
 from repro.workloads import make_workload
@@ -58,6 +59,19 @@ def test_dyntm_suv_frames_carry_their_modes_carrier_and_visibility():
     begun = _record_begins(sim)
     sim.run(program.threads)
     assert {mode for _, _, mode, _, _ in begun} == {"eager", "lazy"}
+    _assert_served_by_mode(sim.scheme, begun)
+
+
+def test_mvsuv_snapshot_frames_are_served_hidden_by_the_mvsuv():
+    """mvsuv's mode selection admits the ``starve`` readers as
+    snapshot attempts: each is served by the scheme itself, an
+    :class:`MVSUV`, and never joins the conflict scan."""
+    program = make_workload("starve", n_threads=4, seed=3, scale="tiny")
+    sim = Simulator(SimConfig(n_cores=4), scheme="mvsuv", seed=3)
+    begun = _record_begins(sim)
+    sim.run(program.threads)
+    assert isinstance(sim.scheme, MVSUV)
+    assert {mode for _, _, mode, _, _ in begun} == {"eager", "snapshot"}
     _assert_served_by_mode(sim.scheme, begun)
 
 

@@ -17,7 +17,7 @@ def make_dyntm(scheme="dyntm"):
     return make_version_manager(scheme, cfg, MemoryHierarchy(cfg))
 
 
-def frame_for(site, mode):
+def frame_for(site, mode="eager"):
     f = TxFrame.create(site, lambda: iter(()), 0, 0, 0, SimConfig().signature)
     f.mode = mode
     return f
@@ -27,7 +27,7 @@ def test_starts_eager():
     assert make_selector().mode_for(site=1) == "eager"
     vm = make_dyntm()
     assert isinstance(vm, AdaptiveVM)
-    assert vm.mode_for(0, site=1) == "eager"
+    assert vm.mode_for(0, frame_for(1)) == "eager"
 
 
 def test_eager_aborts_drift_to_lazy():
@@ -72,8 +72,8 @@ def test_sites_are_independent():
     f1 = frame_for(1, "eager")
     vm.note_outcome(0, f1, committed=False)
     vm.note_outcome(0, f1, committed=False)
-    assert vm.mode_for(0, 1) == "lazy"
-    assert vm.mode_for(0, 2) == "eager"
+    assert vm.mode_for(0, frame_for(1)) == "lazy"
+    assert vm.mode_for(0, frame_for(2)) == "eager"
 
 
 def test_eager_commit_keeps_mode():

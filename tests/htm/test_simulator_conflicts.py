@@ -402,7 +402,7 @@ def test_parked_poll_sees_a_lazy_committer_publish():
 
     def lazy_site_9(sim):
         sim.scheme.mode_for = (
-            lambda core, site: "lazy" if site == 9 else "eager"
+            lambda core, frame: "lazy" if frame.site == 9 else "eager"
         )
 
     stalls = parked_and_full(

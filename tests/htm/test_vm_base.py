@@ -66,7 +66,7 @@ def test_default_hooks_are_neutral():
     assert vm.on_begin(0, f) == 0
     assert vm.nontx_translate(0, 12345)[1] == 12345 or True  # may redirect
     assert vm.validate(0, f) is True
-    assert vm.mode_for(0, 1) == "eager"
+    assert vm.mode_for(0, f) == "eager"
     assert vm.local_writes is False
     assert vm.speculative_marking is False
 

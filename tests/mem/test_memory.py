@@ -43,10 +43,3 @@ def test_bank_interleave():
     assert mem.bank_of_line(5) == 1
     assert {mem.bank_of_line(i) for i in range(4)} == {0, 1, 2, 3}
 
-
-def test_counters():
-    mem = make()
-    mem.load(1)
-    mem.store(1, 2)
-    mem.bulk_store({2: 3, 3: 4})
-    assert mem.reads == 1 and mem.writes == 3

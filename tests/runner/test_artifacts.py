@@ -45,3 +45,13 @@ def test_campaign_report_roundtrip(tmp_path):
     assert store.reports() == [{"total": 1, "ok": 1, "failed": 0}]
     runs = store.runs()
     assert len(runs) == 1 and runs[0]["spec_hash"] == SPEC.spec_hash()
+
+
+def test_record_result_has_phase_breakdown_and_no_memory(tmp_path):
+    store = ArtifactStore(tmp_path / "runs.jsonl")
+    result = execute_spec(SPEC)
+    store.append(SPEC, result)
+    recorded = store.runs()[0]["result"]
+    assert "memory" not in recorded
+    assert recorded["phase_breakdown"] == result.phase_breakdown
+    assert recorded["total_cycles"] == result.total_cycles

@@ -1,11 +1,10 @@
-"""Tests for the JSON exporter."""
+"""Tests for the JSON export of a run: ``SimResult.to_dict``/``to_json``."""
 
 import json
 
 from repro.config import SimConfig
 from repro.htm.ops import Tx, Write
-from repro.simulator import Simulator
-from repro.stats.export import result_to_dict, results_to_json
+from repro.simulator import SimResult, Simulator
 
 
 def small_result(**sim_kwargs):
@@ -20,31 +19,18 @@ def small_result(**sim_kwargs):
 
 
 def test_result_roundtrips_through_json():
-    res = small_result()
-    blob = json.loads(results_to_json({"suv": res}))
-    assert blob["suv"]["commits"] == 1
-    assert blob["suv"]["breakdown"]["Trans"] > 0
-    assert blob["suv"]["scheme"] == "suv"
-
-
-def test_memory_excluded_by_default():
-    d = result_to_dict(small_result())
-    assert "memory" not in d
-
-
-def test_memory_included_on_request():
-    d = result_to_dict(small_result(), include_memory=True)
-    assert d["memory"][str(0x100)] == 5
+    blob = json.loads(small_result().to_json())
+    assert blob["commits"] == 1
+    assert blob["breakdown"]["Trans"] > 0
+    assert blob["scheme"] == "suv"
 
 
 def test_stats_are_floats():
-    d = result_to_dict(small_result())
+    d = small_result().to_dict()
     assert all(isinstance(v, float) for v in d["scheme_stats"].values())
 
 
 def test_simresult_json_roundtrip():
-    from repro.simulator import SimResult
-
     res = small_result()
     again = SimResult.from_json(res.to_json())
     assert again.total_cycles == res.total_cycles
@@ -59,7 +45,7 @@ def test_simresult_json_roundtrip():
 
 
 def test_phase_breakdown_exported():
-    d = result_to_dict(small_result(trace=True))
+    d = small_result(trace=True).to_dict()
     iso = d["phase_breakdown"]["isolation"]
     assert iso["windows"] == 1 and iso["committed"] == 1
     assert d["phase_breakdown"]["events"]["recorded"] > 0
@@ -68,8 +54,6 @@ def test_phase_breakdown_exported():
 
 
 def test_phase_breakdown_roundtrips_with_result():
-    from repro.simulator import SimResult
-
     res = small_result(trace=True)
     again = SimResult.from_json(res.to_json())
     assert again.phase_breakdown == res.phase_breakdown
@@ -77,8 +61,6 @@ def test_phase_breakdown_roundtrips_with_result():
 
 
 def test_legacy_result_json_defaults_to_empty_phase_breakdown():
-    from repro.simulator import SimResult
-
     res = small_result()
     blob = json.loads(res.to_json())
     blob.pop("phase_breakdown", None)
